@@ -1,0 +1,181 @@
+// Cross-commit bit-identity gate for the two Alchemist engines.
+//
+// Every (graph x engine x fault setting) combination below is run with both
+// profilers attached and reduced to one FNV-1a digest over everything a run
+// reports: the registry counters, the bit patterns of its gauges, the
+// memory.v1 profile and the utilization.v1 profile. The expected digests were
+// captured from the engines before the simulator core was unified; any change
+// to the accounting, the fault sampling order or either profiler shows up as
+// a digest mismatch here. A deliberate re-baseline updates the table and says
+// why in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "arch/config.h"
+#include "common/serdes.h"
+#include "fault/fault_model.h"
+#include "metaop/op_graph.h"
+#include "sim/alchemist_sim.h"
+#include "sim/event_sim.h"
+#include "workloads/ckks_workloads.h"
+#include "workloads/tfhe_workloads.h"
+
+namespace alchemist {
+namespace {
+
+struct Golden {
+  const char* graph;
+  bool event;
+  bool faulted;
+  std::uint64_t digest;
+};
+
+// Captured at the parent of the unified-core change.
+constexpr Golden kGolden[] = {
+    {"bootstrap", false, false, 0x344580cd4acb6c01ull},
+    {"bootstrap", false, true, 0x87ecbd52c4ee58bcull},
+    {"bootstrap", true, false, 0x9b2a303880339a3cull},
+    {"bootstrap", true, true, 0x8862cb4151d13039ull},
+    {"helr", false, false, 0xfcdfebf3fe4fa3d2ull},
+    {"helr", false, true, 0xab09c19d9dfbd394ull},
+    {"helr", true, false, 0x6db3361f81527be9ull},
+    {"helr", true, true, 0x907c5fae2b652295ull},
+    {"lola_mnist", false, false, 0xbad1c322c6fb7d04ull},
+    {"lola_mnist", false, true, 0xe16aef4c37ea5f47ull},
+    {"lola_mnist", true, false, 0xfef3c0483ad88415ull},
+    {"lola_mnist", true, true, 0x07c1aee819917405ull},
+    {"pbs_i", false, false, 0xf788d65bae906bf0ull},
+    {"pbs_i", false, true, 0x9b5ea3bd2dd1ee70ull},
+    {"pbs_i", true, false, 0xc0fb2ca4db47302eull},
+    {"pbs_i", true, true, 0x19269d5d50e8c1f7ull},
+    {"keyswitch", false, false, 0x730ffd1304028245ull},
+    {"keyswitch", false, true, 0x37b14f6fa28f069dull},
+    {"keyswitch", true, false, 0x68416f8be86a1dd8ull},
+    {"keyswitch", true, true, 0xf08e76c7c275de8eull},
+};
+
+metaop::OpGraph build(const std::string& name) {
+  if (name == "bootstrap") {
+    return workloads::build_bootstrapping(workloads::CkksWl::paper(44), true);
+  }
+  if (name == "helr") {
+    return workloads::build_helr_iteration(workloads::CkksWl::paper(30));
+  }
+  if (name == "lola_mnist") return workloads::build_lola_mnist(true);
+  if (name == "pbs_i") return workloads::build_pbs(workloads::TfheWl::set_i());
+  return workloads::build_keyswitch(workloads::CkksWl::paper(44));
+}
+
+// Detect-retry with one permanently masked unit and transient rates high
+// enough that every graph draws faults.
+fault::FaultConfig faulted_config() {
+  fault::FaultConfig fc;
+  fc.seed = 0x601d'd16e'57ull;
+  fc.compute_fault_rate = 2e-8;
+  fc.sram_fault_rate = 2e-10;
+  fc.hbm_fault_rate = 1e-10;
+  fc.masked_units = {5};
+  fc.policy = fault::Policy::DetectRetry;
+  return fc;
+}
+
+void write_registry(BinaryWriter& w, const obs::Registry& reg) {
+  for (const auto& [key, value] : reg.counters()) {
+    w.write_tag(key);
+    w.write_u64(value);
+  }
+  for (const auto& [key, value] : reg.gauges()) {
+    w.write_tag(key);
+    w.write_double(value);  // bit pattern, not a rounded value
+  }
+}
+
+void write_memory(BinaryWriter& w, const obs::MemoryProfile& m) {
+  w.write_u8(m.active ? 1 : 0);
+  w.write_u64(m.total_cycles);
+  w.write_u64(m.total_bytes);
+  for (const auto& [operand, classes] : m.attributed) {
+    for (const auto& [cls, bytes] : classes) {
+      w.write_tag(operand);
+      w.write_tag(cls);
+      w.write_u64(bytes);
+    }
+  }
+  for (const auto& [id, k] : m.keys) {
+    w.write_u64(id);
+    w.write_tag(k.operand);
+    w.write_u64(k.fetches);
+    w.write_u64(k.total_bytes);
+    w.write_u64(k.refetch_bytes);
+  }
+  for (double b : m.bw_util) w.write_double(b);
+  for (std::uint64_t o : m.occupancy_bytes) w.write_u64(o);
+  w.write_u64(m.scratch_capacity_bytes);
+  w.write_u64(m.scratch_peak_bytes);
+  w.write_u64(m.evictions);
+}
+
+void write_utilization(BinaryWriter& w, const obs::UtilizationProfile& p) {
+  w.write_u64(p.total_cycles);
+  w.write_u64(p.units.size());
+  for (const obs::UnitCycles& u : p.units) {
+    w.write_u64(u.busy);
+    w.write_u64(u.reduction);
+    w.write_u64(u.stall_scratchpad);
+    w.write_u64(u.stall_dependency);
+    w.write_u64(u.idle);
+    for (const auto& [cls, cycles] : u.class_occupied) {
+      w.write_tag(cls);
+      w.write_u64(cycles);
+    }
+  }
+}
+
+std::uint64_t digest(const sim::SimResult& r) {
+  BinaryWriter w;
+  write_registry(w, r.registry);
+  write_memory(w, r.mem_profile);
+  write_utilization(w, r.profile);
+  return fnv1a(w.buffer());
+}
+
+sim::SimResult run(const Golden& g) {
+  const metaop::OpGraph graph = build(g.graph);
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  fault::FaultModel model(faulted_config(), cfg.num_units);
+  fault::FaultModel* fm = g.faulted ? &model : nullptr;
+  sim::UnitProfiler unit;
+  sim::MemProfiler mem;
+  return g.event
+             ? sim::simulate_alchemist_events(graph, cfg, nullptr, fm, nullptr,
+                                              &unit, &mem)
+             : sim::simulate_alchemist(graph, cfg, nullptr, fm, nullptr, &unit,
+                                       &mem);
+}
+
+TEST(SimGolden, DigestsMatchPinnedBaseline) {
+  for (const Golden& g : kGolden) {
+    const sim::SimResult r = run(g);
+    ASSERT_TRUE(r.profile.enabled()) << g.graph;
+    ASSERT_TRUE(r.mem_profile.enabled()) << g.graph;
+    if (g.faulted) {
+      // Non-vacuous: the seeded model must actually inject and retry.
+      EXPECT_GT(r.registry.counter(fault::metrics::kInjected), 0u) << g.graph;
+      EXPECT_GT(r.registry.counter(fault::metrics::kRetries), 0u) << g.graph;
+    }
+    const std::uint64_t d = digest(r);
+    char actual[32];
+    std::snprintf(actual, sizeof(actual), "0x%016llxull",
+                  static_cast<unsigned long long>(d));
+    EXPECT_EQ(d, g.digest) << g.graph << (g.event ? " event" : " level")
+                           << (g.faulted ? " faulted" : " fault-free")
+                           << ": digest " << actual;
+  }
+}
+
+}  // namespace
+}  // namespace alchemist
