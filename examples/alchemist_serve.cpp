@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       !trace_out.empty() || !timeline_out.empty() || introspect_port >= 0;
   obs::TraceSink trace_sink;
   obs::EventLog event_log;
-  obs::Timeline timeline(!timeline_out.empty());
+  obs::Timeline timeline;
 
   svc::RunnerOptions opts;
   opts.workers = workers;
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
     opts.trace = &trace_sink;
     opts.trace_detail = trace_detail;
     opts.log = &event_log;
-    if (timeline.enabled()) opts.timeline = &timeline;
+    if (!timeline_out.empty()) opts.timeline = &timeline;
   }
   svc::JobRunner runner(opts);
 

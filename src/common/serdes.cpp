@@ -6,15 +6,6 @@
 
 namespace alchemist {
 
-u64 fnv1a(std::span<const std::uint8_t> bytes) {
-  u64 hash = 14695981039346656037ull;
-  for (std::uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 u64 BinaryWriter::checksum_since(std::size_t start) const {
   if (start > buffer_.size()) {
     throw std::logic_error("BinaryWriter: checksum start past end of buffer");

@@ -11,15 +11,28 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/modarith.h"
 
 namespace alchemist {
 
-// Order-sensitive FNV-1a digest used for the integrity footers of the FHE
-// object framing (src/serdes) — detects any bit flip in a stored stream.
-u64 fnv1a(std::span<const std::uint8_t> bytes);
+// The project's one FNV-1a (64-bit, order-sensitive): integrity footers of
+// the FHE object framing (src/serdes), checkpoint and net frames, fault
+// checksums and trace span-id minting all digest through it.
+inline u64 fnv1a(std::span<const std::uint8_t> bytes) {
+  u64 hash = 14695981039346656037ull;
+  for (std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+inline u64 fnv1a(std::string_view s) {
+  return fnv1a(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
+}
 
 class BinaryWriter {
  public:

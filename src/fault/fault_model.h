@@ -101,8 +101,9 @@ class FaultModel {
   double slot_padding_factor(std::size_t n) const;
 
   // Draw the transient faults for one op given its exposure in each domain.
-  // Deterministic for a fixed seed and call sequence; both simulators sample
-  // ops in graph index order, so a (seed, graph, config) triple fully
+  // Deterministic for a fixed seed and call sequence. Each engine samples in
+  // a fixed order (the level engine in ASAP-level order, the event engine in
+  // graph-index order), so a (seed, graph, config, engine) tuple fully
   // reproduces a faulty run.
   OpFaults sample_op(std::uint64_t core_cycles, std::uint64_t lane_cycles,
                      std::uint64_t hbm_bytes);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "common/serdes.h"
+
 namespace alchemist::fault {
 
 Injector::Injector(u64 seed, double rate) : rng_(seed), rate_(rate) {
@@ -33,21 +35,16 @@ bool Injector::maybe_corrupt(RnsPoly& poly) {
 }
 
 std::uint64_t poly_checksum(const RnsPoly& poly) {
-  // FNV-1a over the structural fields and every residue, in order.
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(poly.degree());
-  mix(poly.is_ntt() ? 1 : 0);
-  for (u64 q : poly.moduli()) mix(q);
+  // FNV-1a over the structural fields and every residue, in order, each as
+  // a little-endian u64.
+  BinaryWriter w;
+  w.write_u64(poly.degree());
+  w.write_u64(poly.is_ntt() ? 1 : 0);
+  for (u64 q : poly.moduli()) w.write_u64(q);
   for (std::size_t c = 0; c < poly.num_channels(); ++c) {
-    for (u64 v : poly.channel(c)) mix(v);
+    for (u64 v : poly.channel(c)) w.write_u64(v);
   }
-  return h;
+  return fnv1a(w.buffer());
 }
 
 }  // namespace alchemist::fault

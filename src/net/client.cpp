@@ -3,6 +3,7 @@
 #include <array>
 #include <thread>
 
+#include "common/serdes.h"
 #include "net/socket.h"
 #include "obs/trace.h"
 #include "svc/job.h"
@@ -169,7 +170,7 @@ RunOutcome Client::run(const SubmitPayload& submit) {
   // Deterministic per-key jitter stream: two clients hammering the same
   // server spread their retries without sharing RNG state.
   BackoffConfig cfg = opts_.backoff;
-  cfg.seed ^= obs::trace_fnv1a(submit.tenant + "\x1f" + submit.client_job_id);
+  cfg.seed ^= fnv1a(submit.tenant + "\x1f" + submit.client_job_id);
   Backoff backoff(cfg);
   auto sleep_us = opts_.sleep_us != nullptr ? opts_.sleep_us : &default_sleep;
 

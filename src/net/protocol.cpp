@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "common/serdes.h"
-#include "sim/checkpoint.h"  // write_registry/read_registry
+#include "obs/registry.h"
 
 namespace alchemist::net {
 
@@ -24,6 +24,37 @@ BinaryReader make_reader(std::span<const std::uint8_t> bytes) {
 void check_consumed(const BinaryReader& r, const char* what) {
   if (!r.at_end()) {
     throw std::runtime_error(std::string("net: trailing bytes after ") + what);
+  }
+}
+
+// A result's registry on the wire: the canonical-key counter and gauge maps,
+// length-prefixed.
+void write_registry(BinaryWriter& w, const obs::Registry& reg) {
+  w.write_u64(reg.counters().size());
+  for (const auto& [key, value] : reg.counters()) {
+    w.write_tag(key);
+    w.write_u64(value);
+  }
+  w.write_u64(reg.gauges().size());
+  for (const auto& [key, value] : reg.gauges()) {
+    w.write_tag(key);
+    w.write_double(value);
+  }
+}
+
+void read_registry(BinaryReader& r, obs::Registry& reg) {
+  reg.clear();
+  const std::uint64_t n_counters = r.read_u64();
+  for (std::uint64_t i = 0; i < n_counters; ++i) {
+    // Keys are already canonical (metric_key of a tagless add is the name
+    // verbatim), so re-adding under the stored key reproduces the exact map.
+    const std::string key = r.read_string();
+    reg.add(key, r.read_u64());
+  }
+  const std::uint64_t n_gauges = r.read_u64();
+  for (std::uint64_t i = 0; i < n_gauges; ++i) {
+    const std::string key = r.read_string();
+    reg.set_gauge(key, r.read_double());
   }
 }
 
@@ -178,7 +209,7 @@ std::vector<std::uint8_t> encode(const ResultPayload& p) {
     w.write_tag(p.workload);
     w.write_tag(p.accelerator);
     w.write_double(p.sim_time_us);
-    sim::write_registry(w, p.registry);
+    write_registry(w, p.registry);
   }
   return w.buffer();
 }
@@ -199,7 +230,7 @@ ResultPayload decode_result(std::span<const std::uint8_t> bytes) {
     p.workload = r.read_string(kMaxNameLen);
     p.accelerator = r.read_string(kMaxNameLen);
     p.sim_time_us = r.read_double();
-    sim::read_registry(r, p.registry);
+    read_registry(r, p.registry);
   }
   check_consumed(r, "result");
   return p;

@@ -7,11 +7,11 @@
 // displays them as microseconds, so 1 displayed "us" = 1 cycle. Wall time in
 // real microseconds is carried in each event's numeric args.
 //
-// Recording is zero-overhead when disabled: the simulators consult
-// ArchConfig::telemetry before building any record, and a disabled Timeline
-// drops records at the door. Tracks are Chrome "threads" (tid) inside one
-// simulator "process" (pid); name them with set_track_name so Perfetto shows
-// "unit-group/ntt", "hbm", "transpose", ... instead of bare ids.
+// A run traces if and only if it is handed a Timeline: with a null
+// Timeline* the simulators build no records at all. Tracks are Chrome
+// "threads" (tid) inside one simulator "process" (pid); name them with
+// set_track_name so Perfetto shows "unit-group/ntt", "hbm", "transpose", ...
+// instead of bare ids.
 #pragma once
 
 #include <cstdint>
@@ -58,24 +58,14 @@ struct FlowEvent {
 
 class Timeline {
  public:
-  explicit Timeline(bool enabled = true) : enabled_(enabled) {}
-
-  bool enabled() const { return enabled_; }
-
   void set_process_name(std::string name) { process_name_ = std::move(name); }
   void set_track_name(std::uint32_t tid, std::string name) {
-    if (enabled_) track_names_[tid] = std::move(name);
+    track_names_[tid] = std::move(name);
   }
 
-  void record(TraceEvent ev) {
-    if (enabled_) events_.push_back(std::move(ev));
-  }
-  void record_counter(CounterEvent ev) {
-    if (enabled_) counter_events_.push_back(std::move(ev));
-  }
-  void record_flow(FlowEvent ev) {
-    if (enabled_) flow_events_.push_back(std::move(ev));
-  }
+  void record(TraceEvent ev) { events_.push_back(std::move(ev)); }
+  void record_counter(CounterEvent ev) { counter_events_.push_back(std::move(ev)); }
+  void record_flow(FlowEvent ev) { flow_events_.push_back(std::move(ev)); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<CounterEvent>& counter_events() const {
@@ -99,7 +89,6 @@ class Timeline {
   std::string chrome_trace_json() const;
 
  private:
-  bool enabled_;
   std::string process_name_ = "alchemist-sim";
   std::map<std::uint32_t, std::string> track_names_;
   std::vector<TraceEvent> events_;

@@ -170,8 +170,6 @@ std::string tracez_json(const TraceSink& sink, std::size_t recent_n,
 
 void merge_spans_into_timeline(const std::vector<SpanRecord>& spans,
                                Timeline& timeline, std::uint32_t tid_base) {
-  if (!timeline.enabled()) return;
-
   // Stable track -> tid assignment in canonical span order.
   std::map<std::string, std::uint32_t> track_tids;
   const std::vector<const SpanRecord*> sorted = canonical_order(spans);

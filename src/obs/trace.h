@@ -40,20 +40,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/serdes.h"
+
 namespace alchemist::obs {
 
 class Timeline;  // obs/timeline.h
 
 // ----------------------------------------------------------- id minting ----
-
-inline std::uint64_t trace_fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 inline std::uint64_t trace_mix64(std::uint64_t x) {
   x ^= x >> 30;
@@ -75,7 +68,7 @@ inline std::uint64_t mint_span_id(std::uint64_t trace_id, std::uint64_t parent,
                                   std::string_view name, std::uint64_t ordinal) {
   const std::uint64_t x =
       trace_mix64(trace_id ^ (parent * 0x9e37'79b9'7f4a'7c15ull) ^
-                  trace_fnv1a(name) ^ (ordinal + 1) * 0xd1b5'4a32'd192'ed03ull);
+                  fnv1a(name) ^ (ordinal + 1) * 0xd1b5'4a32'd192'ed03ull);
   return x != 0 ? x : 1;
 }
 

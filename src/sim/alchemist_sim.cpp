@@ -7,24 +7,18 @@
 #include <string>
 #include <vector>
 
-#include "metaop/lowering.h"
-#include "metaop/mult_count.h"
-#include "sim/fault_costs.h"
+#include "sim/cost_pass.h"
 #include "sim/telemetry.h"
 
 namespace alchemist::sim {
 
 namespace {
 
-using metaop::class_of;
 using metaop::class_tag;
 using metaop::HighOp;
 using metaop::kNumOpClasses;
-using metaop::MetaOpBatch;
-using metaop::MetaOpStream;
 using metaop::OpClass;
 using metaop::OpGraph;
-using metaop::OpKind;
 
 // ASAP levels over the dependency DAG.
 std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
@@ -57,23 +51,36 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   // run bit-identical to a fault-free one, so it is dropped entirely here.
   fault::FaultModel* fault = fault_model && fault_model->enabled() ? fault_model : nullptr;
   const arch::ArchConfig cfg = fault ? fault->degraded(config) : config;
-  FaultTotals fault_totals;
+  const auto levels = asap_levels(graph);
 
-  const bool trace = cfg.telemetry && timeline != nullptr && timeline->enabled();
-  if (trace) {
-    timeline->set_process_name("alchemist-sim(level)");
-    name_fixed_tracks(*timeline);
-  }
-  std::vector<ClassTrackRows> rows;
-  if (trace) {
-    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-      rows.emplace_back(*timeline, static_cast<OpClass>(c));
+  // The checkpoint cursor is the number of completed levels; everything else
+  // is recomputed, so a resumed run restarts the fault RNG at its seed.
+  RunControl run(control, kLevelEngine, graph.name, graph.ops.size(),
+                 sim_fingerprint(config, fault));
+  std::uint64_t levels_done = 0;
+  if (const Checkpoint* cp = run.resume()) {
+    if (cp->state.size() != sizeof(std::uint64_t)) {
+      throw CheckpointError("level engine: checkpoint state is not a level cursor");
     }
+    levels_done = BinaryReader(cp->state).read_u64();
+    if (levels_done > levels.size()) {
+      throw CheckpointError("level engine: checkpoint step past end of schedule");
+    }
+    if (fault) fault->reset();
   }
+  auto cursor_state = [](std::uint64_t done) {
+    BinaryWriter w;
+    w.write_u64(done);
+    return w.buffer();
+  };
 
-  // begin() before the resume block: a restored checkpoint overlays the
-  // profiler's accumulators on top of the geometry begin() captures.
-  if (mem_profiler) mem_profiler->begin(cfg, trace ? timeline : nullptr);
+  // Walking the levels in order costs the ops — and samples their faults — in
+  // ASAP-level order.
+  CostPass costs(graph, cfg, fault);
+
+  std::vector<ClassTrackRows> rows = begin_trace(timeline, "alchemist-sim(level)");
+  if (profiler) profiler->begin(cfg.num_units, cfg.cores_per_unit, timeline);
+  if (mem_profiler) mem_profiler->begin(cfg, timeline);
 
   const std::uint64_t cores = cfg.total_cores();
   const double hbm_bpc = cfg.hbm_bytes_per_cycle();
@@ -82,93 +89,8 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
 
   std::uint64_t total_cycles = 0;
   std::uint64_t total_transpose = 0;
-  double total_hbm_bytes = 0;
-  std::uint64_t total_busy_lane_cycles = 0;
   std::array<std::uint64_t, kNumOpClasses> class_wall{};
-  std::array<std::uint64_t, kNumOpClasses> class_busy_lanes{};
 
-  const auto levels = asap_levels(graph);
-
-  // --- execution control: resume, cooperative stop, checkpointing ---------
-  const std::uint64_t fingerprint = sim_fingerprint(config, fault);
-  std::uint64_t resume_level = 0;
-  if (control && control->checkpoint && control->checkpoint->valid()) {
-    const Checkpoint& cp = *control->checkpoint;
-    if (cp.engine != kLevelEngine) {
-      throw CheckpointError("level engine: checkpoint from engine '" + cp.engine + "'");
-    }
-    if (cp.workload != graph.name || cp.op_count != graph.ops.size()) {
-      throw CheckpointError("level engine: checkpoint belongs to a different graph");
-    }
-    if (cp.fingerprint != fingerprint) {
-      throw CheckpointError("level engine: machine/fault configuration changed");
-    }
-    BinaryReader r(cp.state);
-    resume_level = r.read_u64();
-    if (resume_level > levels.size()) {
-      throw CheckpointError("level engine: checkpoint step past end of schedule");
-    }
-    total_cycles = r.read_u64();
-    total_transpose = r.read_u64();
-    total_busy_lane_cycles = r.read_u64();
-    total_hbm_bytes = r.read_double();
-    const std::vector<std::uint64_t> wall = r.read_u64_vector();
-    const std::vector<std::uint64_t> busy = r.read_u64_vector();
-    if (wall.size() != kNumOpClasses || busy.size() != kNumOpClasses) {
-      throw CheckpointError("level engine: per-class array size mismatch");
-    }
-    std::copy(wall.begin(), wall.end(), class_wall.begin());
-    std::copy(busy.begin(), busy.end(), class_busy_lanes.begin());
-    fault_totals.compute = r.read_u64();
-    fault_totals.sram = r.read_u64();
-    fault_totals.hbm = r.read_u64();
-    fault_totals.retries = r.read_u64();
-    fault_totals.retry_cycles = r.read_u64();
-    fault_totals.corrupted_ops = r.read_u64();
-    fault_totals.dmr_corrections = r.read_u64();
-    read_registry(r, reg);
-    // Memory-profiler carry (checkpoint schema v2): restore the interrupted
-    // run's attribution state so the resumed memory.v1 is bit-identical. A
-    // checkpoint written without memory state cannot attribute the skipped
-    // prefix — drop the profiler, like the UnitProfiler below.
-    const bool cp_has_mem = r.read_u8() != 0;
-    if (cp_has_mem) {
-      MemProfiler discard;
-      (mem_profiler != nullptr ? *mem_profiler : discard).deserialize(r);
-    } else {
-      mem_profiler = nullptr;
-    }
-    // Replaying the skipped levels' transient draws below assumes the fault
-    // RNG starts at the seed, exactly as the interrupted run did.
-    if (fault) fault->reset();
-    // The skipped levels' cycles were accounted by the interrupted process
-    // and survive only as aggregates — per-unit attribution is impossible.
-    profiler = nullptr;
-  }
-  if (profiler) {
-    profiler->begin(cfg.num_units, cfg.cores_per_unit,
-                    trace ? timeline : nullptr);
-  }
-
-  // --- distributed tracing (cycle-domain spans; see obs/trace.h) ----------
-  obs::TraceSink* tsink = control != nullptr ? control->trace : nullptr;
-  const bool spans_on = tsink != nullptr && control->trace_ctx.valid();
-  const obs::TraceDetail detail =
-      spans_on ? control->effective_trace_detail() : obs::TraceDetail::Lifecycle;
-  obs::TraceContext sim_ctx;
-  if (spans_on) sim_ctx = obs::child_context(control->trace_ctx, "sim", 0);
-  const std::uint64_t trace_start_cycles = total_cycles;
-  const std::uint64_t trace_resume_level = resume_level;
-  std::uint64_t trace_checkpoints = 0;
-  // Spans are buffered locally and drained in batches: one sink lock per
-  // kSpanFlush spans instead of per span, so concurrent jobs at Phases/Ops
-  // detail do not serialize on the sink mutex.
-  std::vector<obs::SpanRecord> span_buf;
-  constexpr std::size_t kSpanFlush = 4096;
-  auto buffer_span = [&](obs::SpanRecord&& s) {
-    span_buf.push_back(std::move(s));
-    if (span_buf.size() >= kSpanFlush) tsink->record_batch(span_buf);
-  };
   // At Phases detail, runs of narrow levels (fewer than kChainWidth ops —
   // far below machine saturation) coalesce into one "chain" span, split
   // every kChainMaxLevels so long chains keep visible progress. Bootstrap
@@ -183,313 +105,111 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   std::uint64_t chain_len = 0;
   auto flush_chain = [&]() {
     if (chain_len == 0) return;
-    const obs::TraceContext cc =
-        obs::child_context(sim_ctx, "chain", chain_start_level);
-    obs::SpanRecord s;
-    s.trace_id = cc.trace_id;
-    s.span_id = cc.span_id;
-    s.parent_span = cc.parent_span;
-    s.name = "chain";
-    s.kind = "sim";
-    s.track = "sim/levels";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = chain_start_ts;
-    s.dur = static_cast<double>(total_cycles) - chain_start_ts;
-    s.num_attrs = {{"first_level", static_cast<double>(chain_start_level)},
-                   {"levels", static_cast<double>(chain_len)}};
-    buffer_span(std::move(s));
+    run.span(obs::child_context(run.context(), "chain", chain_start_level), "chain",
+             "sim/levels", chain_start_ts,
+             static_cast<double>(total_cycles) - chain_start_ts,
+             {{"first_level", static_cast<double>(chain_start_level)},
+              {"levels", static_cast<double>(chain_len)}});
     chain_len = 0;
   };
-  // Terminal span for the whole engine run; flushes the buffer, and is called
-  // on every exit path (completion and just before a cancellation throw).
-  auto record_sim_span = [&](const char* outcome,
-                             std::uint64_t executed) {
-    if (!spans_on) return;
-    flush_chain();
-    obs::SpanRecord s;
-    s.trace_id = sim_ctx.trace_id;
-    s.span_id = sim_ctx.span_id;
-    s.parent_span = sim_ctx.parent_span;
-    s.name = "sim";
-    s.kind = "sim";
-    s.track = "sim";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = static_cast<double>(trace_start_cycles);
-    s.dur = static_cast<double>(total_cycles - trace_start_cycles);
-    s.attrs = {{"engine", "level"},
-               {"workload", graph.name},
-               {"outcome", outcome}};
-    s.num_attrs = {{"steps", static_cast<double>(executed)},
-                   {"resume_level", static_cast<double>(trace_resume_level)}};
-    span_buf.push_back(std::move(s));
-    tsink->record_batch(span_buf);
-  };
 
-  auto save_checkpoint = [&](std::uint64_t levels_done) {
-    Checkpoint cp;
-    cp.engine = kLevelEngine;
-    cp.workload = graph.name;
-    cp.op_count = graph.ops.size();
-    cp.fingerprint = fingerprint;
-    cp.step = levels_done;
-    BinaryWriter w;
-    w.write_u64(levels_done);
-    w.write_u64(total_cycles);
-    w.write_u64(total_transpose);
-    w.write_u64(total_busy_lane_cycles);
-    w.write_double(total_hbm_bytes);
-    w.write_u64_vector(class_wall);
-    w.write_u64_vector(class_busy_lanes);
-    w.write_u64(fault_totals.compute);
-    w.write_u64(fault_totals.sram);
-    w.write_u64(fault_totals.hbm);
-    w.write_u64(fault_totals.retries);
-    w.write_u64(fault_totals.retry_cycles);
-    w.write_u64(fault_totals.corrupted_ops);
-    w.write_u64(fault_totals.dmr_corrections);
-    write_registry(w, reg);
-    w.write_u8(mem_profiler != nullptr ? 1 : 0);
-    if (mem_profiler != nullptr) mem_profiler->serialize(w);
-    cp.state = w.buffer();
-    const std::uint64_t state_bytes = cp.state.size();
-    *control->checkpoint = std::move(cp);
-    if (spans_on) {
-      const obs::TraceContext cc =
-          obs::child_context(sim_ctx, "checkpoint", trace_checkpoints++);
-      obs::SpanRecord s;
-      s.trace_id = cc.trace_id;
-      s.span_id = cc.span_id;
-      s.parent_span = cc.parent_span;
-      s.name = "checkpoint";
-      s.kind = "sim";
-      s.track = "sim/checkpoint";
-      s.clock = obs::SpanClock::Cycles;
-      s.ts = static_cast<double>(total_cycles);
-      s.dur = 0;
-      s.num_attrs = {{"step", static_cast<double>(levels_done)},
-                     {"bytes", static_cast<double>(state_bytes)}};
-      buffer_span(std::move(s));
-    }
-  };
-  std::uint64_t executed_steps = 0;
-
-  for (std::size_t level_idx = 0; level_idx < levels.size(); ++level_idx) {
+  // One ASAP level. Cores are fungible across the ops of a level: Meta-OP
+  // work pools and fills waves jointly; only the pooled tail is padded. A
+  // level before the resume cursor is `folded`: its arithmetic and both
+  // profilers run, but it emits no timeline events and no spans.
+  auto run_level = [&](std::size_t level_idx, bool folded) {
     const auto& level = levels[level_idx];
-    if (level_idx < resume_level) {
-      // Completed before the checkpoint: skip the accounting (it is already
-      // in the restored accumulators) but replay the fault RNG draws so the
-      // remaining ops sample the same transients as the uninterrupted run.
-      if (fault) {
-        for (std::size_t idx : level) {
-          const HighOp& op = graph.ops[idx];
-          const MetaOpStream stream = metaop::lower(op);
-          std::uint64_t op_core_cycles = stream.core_cycles();
-          std::uint64_t op_busy = 0;
-          for (const MetaOpBatch& batch : stream.batches) {
-            op_busy += batch.count * cfg.lanes * (batch.n + 2);
-          }
-          const double pad = fault->slot_padding_factor(op.n);
-          if (pad > 1.0) {
-            op_core_cycles = static_cast<std::uint64_t>(
-                std::ceil(static_cast<double>(op_core_cycles) * pad));
-          }
-          (void)fault->sample_op(op_core_cycles, op_busy, op.hbm_bytes);
-        }
-      }
-      continue;
-    }
-    if (control) {
-      StopReason stop = control->cancel ? control->cancel->should_stop() : StopReason::None;
-      if (stop == StopReason::None && control->max_steps != 0 &&
-          executed_steps >= control->max_steps) {
-        stop = StopReason::StepBudget;
-      }
-      if (stop != StopReason::None) {
-        if (control->checkpoint) save_checkpoint(level_idx);
-        record_sim_span(sim::to_string(stop), executed_steps);
-        throw CancelledError(stop, level_idx);
-      }
-    }
+    if (level.empty()) return;
+    obs::Timeline* tl = folded ? nullptr : timeline;
+    const bool level_spans = !folded && run.traces(obs::TraceDetail::Phases);
+    const bool op_spans = !folded && run.traces(obs::TraceDetail::Ops);
     // Narrow levels at Phases detail fold into the running chain span, so
     // they never mint a per-level context.
-    const bool chained = spans_on && detail == obs::TraceDetail::Phases &&
-                         level.size() < kChainWidth;
+    const bool chained = level_spans && !op_spans && level.size() < kChainWidth;
     obs::TraceContext level_ctx;
-    if (spans_on && detail >= obs::TraceDetail::Phases && !chained) {
-      level_ctx = obs::child_context(sim_ctx, "level", level_idx);
+    if (level_spans && !chained) {
+      level_ctx = obs::child_context(run.context(), "level", level_idx);
     }
-    double span_cursor = static_cast<double>(total_cycles);
-    // Cores are fungible across the ops of a level: Meta-OP work pools and
-    // fills waves jointly; only the pooled tail is padded.
-    std::uint64_t level_core_cycles = 0;   // exact core-cycles of work
-    std::uint64_t level_transpose = 0;     // serialized transpose traffic
+    std::uint64_t level_core_cycles = 0;  // exact core-cycles of work
+    std::uint64_t level_transpose = 0;    // serialized transpose traffic
     double level_hbm_bytes = 0;
     UnitProfiler::Level level_profile;
-    // Telemetry cursor: the pooled model executes a level's work as if ops
-    // ran back to back at full machine width, so slices tile the level span.
+    // The pooled model executes a level's work as if ops ran back to back at
+    // full machine width, so op slices, spans and residency tile the level.
     double cursor = static_cast<double>(total_cycles);
-    // Memory-profiler cursor: same tiling, kept separate so memory profiling
-    // never depends on the timeline being on.
-    double mem_cursor = static_cast<double>(total_cycles);
     for (std::size_t idx : level) {
       const HighOp& op = graph.ops[idx];
-      const MetaOpStream stream = metaop::lower(op);
-      const OpClass cls = class_of(op.kind);
-      const char* tag = class_tag(cls);
-
-      std::uint64_t op_core_cycles = stream.core_cycles();
-      std::uint64_t op_busy = 0;
-      for (const MetaOpBatch& batch : stream.batches) {
-        op_busy += batch.count * cfg.lanes * (batch.n + 2);
-      }
-      std::uint64_t op_retry_cycles = 0;
-      fault::OpFaults op_faults;
-      if (fault) {
-        // Degraded stripe: slot-partitioned work inflates by the padding of
-        // ceil(N / healthy_units) striping (the masked units' share must be
-        // re-homed, and the tail stripe is padded).
-        const double pad = fault->slot_padding_factor(op.n);
-        if (pad > 1.0) {
-          op_core_cycles = static_cast<std::uint64_t>(
-              std::ceil(static_cast<double>(op_core_cycles) * pad));
-        }
-        op_faults = fault->sample_op(op_core_cycles, op_busy, op.hbm_bytes);
-        const std::uint64_t batch_cost =
-            op_core_cycles / std::max<std::size_t>(stream.batches.size(), 1);
-        op_retry_cycles =
-            price_op_faults(*fault, op_faults, batch_cost, fault_totals);
-      }
-      std::uint64_t op_transpose = 0;
-      // 4-step NTT: one global transpose between the phases. Chunks of later
-      // channels transpose while earlier channels run phase 2, hiding half of
-      // the traffic; the other half serializes.
-      if (op.kind == OpKind::Ntt || op.kind == OpKind::Intt) {
-        const std::uint64_t words =
-            static_cast<std::uint64_t>(op.n) * std::max<std::size_t>(op.channels, 1);
-        op_transpose = static_cast<std::uint64_t>(
-            std::ceil(words / transpose_words_per_cycle / 2.0));
-        total_transpose += op_transpose;
-      }
+      const OpCost c = costs.cost(idx);
+      const auto cls = static_cast<std::size_t>(c.cls);
+      const std::uint64_t transpose =
+          static_cast<std::uint64_t>(std::ceil(c.transpose));
       // Data movement for the op's working set through the local scratchpads
       // is covered by the per-lane operand fetch modeled inside the Meta-OP
       // window; only off-chip traffic is charged separately.
-      level_core_cycles += op_core_cycles + op_retry_cycles;
-      level_transpose += op_transpose;
+      level_core_cycles += c.work();
+      level_transpose += transpose;
       level_hbm_bytes += static_cast<double>(op.hbm_bytes);
-      // The 2-cycle reduction tail of every Meta-OP window; retries re-run
-      // whole windows, so the ratio carries over untouched.
-      level_profile.reduction_core_cycles += 2 * stream.meta_op_count();
-      level_profile.class_core_cycles[static_cast<std::size_t>(cls)] +=
-          op_core_cycles + op_retry_cycles;
-      const std::uint64_t op_wall =
-          (op_core_cycles + op_retry_cycles + cores - 1) / cores + op_transpose;
-      class_wall[static_cast<std::size_t>(cls)] += op_wall;
-      class_busy_lanes[static_cast<std::size_t>(cls)] += op_busy;
-      total_busy_lane_cycles += op_busy;
-      const std::uint64_t op_mults = stream.mult_count();
-      reg.add(metrics::kMults, op_mults, {{"lazy", "true"}});
-      reg.add(metrics::kOps, 1);
-      reg.add(metrics::kOps, 1, {{"class", tag}});
-      reg.add(metrics::kMetaOps, stream.meta_op_count());
-      reg.add(metrics::kHbmBytes, op.hbm_bytes);
-      reg.add(metrics::kBusyLaneCycles, op_busy);
-
-      if (mem_profiler) {
-        const double mem_dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
-        mem_profiler->record_op(op, mem_cursor + mem_dur);
-        mem_cursor += mem_dur;
-      }
-
-      if (trace) {
-        const double dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
+      total_transpose += transpose;
+      level_profile.reduction_core_cycles += 2 * c.meta_ops;
+      level_profile.class_core_cycles[cls] += c.work();
+      class_wall[cls] += (c.work() + cores - 1) / cores + transpose;
+      const double dur = static_cast<double>(c.work()) / static_cast<double>(cores) +
+                         static_cast<double>(transpose);
+      if (mem_profiler) mem_profiler->record_op(op, cursor + dur);
+      if (tl) {
         obs::TraceEvent ev;
-        ev.name = std::string(to_string(op.kind)) + "#" + std::to_string(idx);
-        ev.cat = tag;
+        ev.name = op_label(op, idx);
+        ev.cat = class_tag(c.cls);
         ev.ts = cursor;
         ev.dur = dur;
-        ev.tid = rows[static_cast<std::size_t>(cls)].reserve(cursor, cursor + dur);
+        ev.tid = rows[cls].reserve(cursor, cursor + dur);
         ev.num_args = {
             {"level", static_cast<double>(level_idx)},
-            {"core_cycles", static_cast<double>(op_core_cycles)},
+            {"core_cycles", static_cast<double>(c.core_cycles)},
             {"cores", static_cast<double>(cores)},
-            {"metaop_batches", static_cast<double>(stream.batches.size())},
-            {"meta_ops", static_cast<double>(stream.meta_op_count())},
+            {"metaop_batches", static_cast<double>(c.batches)},
+            {"meta_ops", static_cast<double>(c.meta_ops)},
             {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
-            {"transpose_cycles", static_cast<double>(op_transpose)},
-            {"mults", static_cast<double>(op_mults)},
+            {"transpose_cycles", static_cast<double>(transpose)},
+            {"mults", static_cast<double>(c.mults)},
         };
-        timeline->record(std::move(ev));
-        if (op_transpose > 0) {
+        tl->record(std::move(ev));
+        if (transpose > 0) {
           obs::TraceEvent tr;
           tr.name = "transpose#" + std::to_string(idx);
           tr.cat = "transpose";
           tr.tid = kTransposeTid;
-          tr.ts = cursor + static_cast<double>(op_core_cycles) /
+          tr.ts = cursor + static_cast<double>(c.core_cycles) /
                                static_cast<double>(cores);
-          tr.dur = static_cast<double>(op_transpose);
+          tr.dur = static_cast<double>(transpose);
           tr.num_args = {{"words_per_cycle", transpose_words_per_cycle}};
-          timeline->record(std::move(tr));
+          tl->record(std::move(tr));
         }
-        if (op_faults.total() > 0) {
-          obs::TraceEvent fe;
-          fe.name = std::string("fault ") + to_string(op.kind) + "#" +
-                    std::to_string(idx);
-          fe.cat = "fault";
-          fe.tid = kFaultTid;
-          fe.ts = cursor;
-          fe.dur = static_cast<double>(op_retry_cycles) / static_cast<double>(cores);
-          fe.num_args = {
-              {"faults_compute", static_cast<double>(op_faults.compute)},
-              {"faults_sram", static_cast<double>(op_faults.sram)},
-              {"faults_hbm", static_cast<double>(op_faults.hbm)},
-              {"retry_core_cycles", static_cast<double>(op_retry_cycles)},
-          };
-          timeline->record(std::move(fe));
+        if (c.faults.total() > 0) {
+          record_fault(*tl, op, idx, c.faults, static_cast<double>(c.retry_cycles),
+                       cursor,
+                       static_cast<double>(c.retry_cycles) / static_cast<double>(cores));
         }
-        cursor += dur;
       }
-      if (spans_on && detail == obs::TraceDetail::Ops) {
-        // Same pooled-tiling model as the telemetry cursor above, but kept
-        // separate so span emission never depends on the timeline being on.
-        const double op_dur =
-            static_cast<double>(op_core_cycles + op_retry_cycles) /
-                static_cast<double>(cores) +
-            static_cast<double>(op_transpose);
-        const obs::TraceContext oc =
-            obs::child_context(level_ctx, to_string(op.kind), idx);
-        obs::SpanRecord s;
-        s.trace_id = oc.trace_id;
-        s.span_id = oc.span_id;
-        s.parent_span = oc.parent_span;
-        s.name = to_string(op.kind);
-        s.kind = "sim";
-        s.track = "sim/ops";
-        s.clock = obs::SpanClock::Cycles;
-        s.ts = span_cursor;
-        s.dur = op_dur;
-        s.attrs = {{"class", tag}};
-        s.num_attrs = {{"op", static_cast<double>(idx)},
-                       {"level", static_cast<double>(level_idx)},
-                       {"core_cycles", static_cast<double>(op_core_cycles)},
-                       {"hbm_bytes", static_cast<double>(op.hbm_bytes)}};
-        buffer_span(std::move(s));
-        span_cursor += op_dur;
+      if (op_spans) {
+        run.span(obs::child_context(level_ctx, to_string(op.kind), idx),
+                 to_string(op.kind), "sim/ops", cursor, dur,
+                 {{"op", static_cast<double>(idx)},
+                  {"level", static_cast<double>(level_idx)},
+                  {"core_cycles", static_cast<double>(c.core_cycles)},
+                  {"hbm_bytes", static_cast<double>(op.hbm_bytes)}},
+                 {{"class", class_tag(c.cls)}});
       }
+      cursor += dur;
     }
     const std::uint64_t level_wall =
         (level_core_cycles + cores - 1) / cores + level_transpose;
-    if (profiler && !level.empty()) {
+    if (profiler) {
       level_profile.core_cycles = level_core_cycles;
       level_profile.transpose_cycles = level_transpose;
-      profiler->add_level(total_cycles, level_profile);
+      profiler->add_level(total_cycles, level_profile, /*sample=*/!folded);
     }
-    if (trace && !level.empty()) {
+    if (tl) {
       obs::TraceEvent lv;
       lv.name = "level " + std::to_string(level_idx);
       lv.cat = "scheduler";
@@ -499,46 +219,43 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
       lv.num_args = {{"ops", static_cast<double>(level.size())},
                      {"core_cycles", static_cast<double>(level_core_cycles)},
                      {"hbm_bytes", level_hbm_bytes}};
-      timeline->record(std::move(lv));
+      tl->record(std::move(lv));
     }
-    if (chained && !level.empty()) {
+    if (chained) {
       if (chain_len >= kChainMaxLevels) flush_chain();
       if (chain_len == 0) {
         chain_start_level = level_idx;
         chain_start_ts = static_cast<double>(total_cycles);
       }
       ++chain_len;
-    } else if (spans_on && detail >= obs::TraceDetail::Phases &&
-               !level.empty()) {
+    } else if (level_spans) {
       flush_chain();  // a wide level ends any run of narrow levels
-      obs::SpanRecord s;
-      s.trace_id = level_ctx.trace_id;
-      s.span_id = level_ctx.span_id;
-      s.parent_span = level_ctx.parent_span;
-      s.name = "level";
-      s.kind = "sim";
-      s.track = "sim/levels";
-      s.clock = obs::SpanClock::Cycles;
-      s.ts = static_cast<double>(total_cycles);
-      s.dur = static_cast<double>(level_wall);
-      s.num_attrs = {{"level", static_cast<double>(level_idx)},
-                     {"ops", static_cast<double>(level.size())},
-                     {"core_cycles", static_cast<double>(level_core_cycles)}};
-      buffer_span(std::move(s));
+      run.span(level_ctx, "level", "sim/levels", static_cast<double>(total_cycles),
+               static_cast<double>(level_wall),
+               {{"level", static_cast<double>(level_idx)},
+                {"ops", static_cast<double>(level.size())},
+                {"core_cycles", static_cast<double>(level_core_cycles)}});
     }
     total_cycles += level_wall;
-    total_hbm_bytes += level_hbm_bytes;
-    ++executed_steps;
-    if (control && control->checkpoint &&
-        control->effective_checkpoint_interval() != 0 &&
-        executed_steps % control->effective_checkpoint_interval() == 0) {
-      save_checkpoint(level_idx + 1);
+  };
+
+  for (std::size_t l = 0; l < levels_done; ++l) run_level(l, /*folded=*/true);
+  run.start(static_cast<double>(total_cycles));
+  for (std::size_t l = levels_done; l < levels.size(); ++l) {
+    if (const StopReason why = run.poll(); why != StopReason::None) {
+      flush_chain();
+      run.stop(why, l, static_cast<double>(total_cycles), cursor_state(l));
+    }
+    run_level(l, /*folded=*/false);
+    if (run.step_done()) {
+      run.checkpoint(l + 1, static_cast<double>(total_cycles), cursor_state(l + 1));
     }
   }
 
   // Key material is prefetched with double buffering across the whole graph
   // (the on-chip scheduler knows the op stream in advance), so HBM streaming
   // overlaps *globally* with compute; only the excess stalls.
+  const double total_hbm_bytes = static_cast<double>(costs.hbm_bytes());
   const std::uint64_t hbm_cycles =
       static_cast<std::uint64_t>(std::ceil(total_hbm_bytes / hbm_bpc));
   std::uint64_t stall_cycles = 0;
@@ -546,7 +263,7 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
     stall_cycles = hbm_cycles - total_cycles;
     total_cycles = hbm_cycles;
   }
-  if (trace) {
+  if (timeline) {
     if (total_hbm_bytes > 0) {
       obs::TraceEvent hb;
       hb.name = "evk stream";
@@ -569,46 +286,38 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
       timeline->record(std::move(st));
     }
   }
-
-  if (spans_on && detail >= obs::TraceDetail::Phases && stall_cycles > 0) {
-    const obs::TraceContext sc = obs::child_context(sim_ctx, "hbm-stall", 0);
-    obs::SpanRecord s;
-    s.trace_id = sc.trace_id;
-    s.span_id = sc.span_id;
-    s.parent_span = sc.parent_span;
-    s.name = "hbm-stall";
-    s.kind = "sim";
-    s.track = "sim/levels";
-    s.clock = obs::SpanClock::Cycles;
-    s.ts = static_cast<double>(total_cycles - stall_cycles);
-    s.dur = static_cast<double>(stall_cycles);
-    s.num_attrs = {{"cycles", static_cast<double>(stall_cycles)}};
-    buffer_span(std::move(s));
+  if (run.traces(obs::TraceDetail::Phases) && stall_cycles > 0) {
+    run.span(obs::child_context(run.context(), "hbm-stall", 0), "hbm-stall",
+             "sim/levels", static_cast<double>(total_cycles - stall_cycles),
+             static_cast<double>(stall_cycles),
+             {{"cycles", static_cast<double>(stall_cycles)}});
   }
-  record_sim_span("completed", executed_steps);
+  flush_chain();
+  run.complete(static_cast<double>(total_cycles));
 
   // Totals and derived rates into the registry; finalize() projects them onto
   // the legacy aggregate fields.
+  costs.add_counters(reg);
   reg.add(metrics::kCycles, total_cycles);
   reg.add(metrics::kStall, stall_cycles, {{"cause", "hbm"}});
   reg.add(metrics::kTransposeCycles, total_transpose);
-  if (fault) add_fault_counters(reg, *fault, fault_totals);
   const double time_us = static_cast<double>(total_cycles) / (cfg.freq_ghz * 1e3);
   reg.set_gauge(metrics::kTimeUs, time_us);
   const double peak = static_cast<double>(cfg.peak_lanes());
   reg.set_gauge(metrics::kUtilization,
                 total_cycles == 0
                     ? 0.0
-                    : static_cast<double>(total_busy_lane_cycles) /
+                    : static_cast<double>(costs.busy_lanes()) /
                           (peak * static_cast<double>(total_cycles)));
   for (std::size_t c = 0; c < kNumOpClasses; ++c) {
     const char* tag = class_tag(static_cast<OpClass>(c));
+    const std::uint64_t busy = costs.class_busy_lanes(c);
     reg.add(metrics::kCycles, class_wall[c], {{"class", tag}});
-    reg.add(metrics::kBusyLaneCycles, class_busy_lanes[c], {{"class", tag}});
+    reg.add(metrics::kBusyLaneCycles, busy, {{"class", tag}});
     reg.set_gauge(metrics::kUtilization,
                   class_wall[c] == 0
                       ? 0.0
-                      : static_cast<double>(class_busy_lanes[c]) /
+                      : static_cast<double>(busy) /
                             (peak * static_cast<double>(class_wall[c])),
                   {{"class", tag}});
   }

@@ -1,4 +1,4 @@
-// Cycle-level simulator of the Alchemist accelerator.
+// Cycle-level simulator of the Alchemist accelerator — the level engine.
 //
 // Model (matching §5 of the paper):
 //  * An op graph is executed level by level (ASAP schedule over the DAG).
@@ -13,44 +13,36 @@
 //  * Off-chip traffic (evk streaming) is double-buffered against compute:
 //    a level's wall time is max(compute, HBM); the excess is a memory stall.
 //
-// Telemetry: when `config.telemetry` is set and a Timeline sink is passed,
-// the simulator records one Chrome-trace slice per op (on its operator
-// class's unit-group track), per-op HBM streaming slices, transpose slices
-// and per-level scheduler frames. Recording never changes the accounting —
-// the returned SimResult is bit-identical with telemetry on or off.
+// One simulator core, two schedulers. This engine and the event engine
+// (sim/event_sim.h) share everything but the schedule:
+//  * sim/cost_pass.h prices every op once — lowering, fault-degraded stripe
+//    padding, transient-fault sampling and retry pricing, busy lanes,
+//    Meta-OP/mult counts, transpose — and adds the run's work counters to
+//    the registry. This engine costs ops in ASAP-level order, which is
+//    therefore its fault sampling order.
+//  * RunControl (sim/sim_control.h) owns stop polling, checkpoint validation
+//    and writing, and the distributed-tracing spans. A step here is one ASAP
+//    level.
+//  * Observers only watch. A Timeline (per-op slices on each operator class's
+//    unit-group track, HBM/transpose/fault slices, per-level scheduler
+//    frames), a UnitProfiler (utilization.v1) and a MemProfiler (memory.v1)
+//    are fed from the single tiling cursor of each level, and none of them
+//    changes the returned SimResult. A run traces if and only if a Timeline
+//    is passed.
 //
 // Fault modeling: an optional fault::FaultModel degrades the machine
 // (permanent unit masks re-partition the slot stripe over the healthy units,
-// DMR halves effective cores) and injects seed-deterministic transient
-// faults whose mitigation cost (retries, corrections) is charged per op and
-// counted under fault.* metrics. A model with zero rates, no mask and a
-// non-DMR policy — or no model at all — leaves the results bit-identical to
-// the fault-free simulator.
+// DMR halves effective cores) and injects seed-deterministic transient faults
+// whose mitigation cost is charged per op and counted under fault.* metrics.
+// A model with zero rates, no mask and a non-DMR policy — or no model at all
+// — leaves the results bit-identical to the fault-free simulator.
 //
-// Profiling: an optional sim::UnitProfiler attributes every cycle of every
-// unit to utilization.v1 buckets (SimResult.profile) without perturbing the
-// result. Profiling is unavailable on checkpoint-resumed runs — the skipped
-// levels were accounted elsewhere — so the engine drops the profiler when it
-// restores a checkpoint and the profile comes back empty.
-//
-// Memory profiling: an optional sim::MemProfiler attributes every streamed
-// HBM byte to (operand class x op class), keeps the key-reuse ledger and the
-// bandwidth/occupancy timelines (SimResult.mem_profile, schema memory.v1) —
-// again without perturbing the result. Unlike the UnitProfiler it DOES
-// survive checkpoint/resume: the engine serializes its accumulators into the
-// checkpoint state blob (schema v2) and restores them, so a resumed run's
-// memory.v1 is bit-identical to an uninterrupted one. Resuming a checkpoint
-// written without memory state drops the profiler (the skipped prefix cannot
-// be attributed).
-//
-// Execution control: an optional sim::SimControl makes the run cooperative —
-// a step here is one ASAP level. The engine polls the CancelToken / step
-// budget before each level, snapshots its cursor (completed levels, cycle
-// accumulators, registry, fault totals) into the attached Checkpoint, and
-// throws CancelledError on stop. A valid incoming checkpoint resumes the run:
-// completed levels are skipped (the fault RNG is replayed over them so
-// transient sampling stays aligned; the fault model must be in its seed
-// state) and the final SimResult is bit-identical to an uninterrupted run.
+// Checkpoints carry only the cursor: the number of completed levels. A
+// resumed run restarts the fault RNG at its seed (the model must be in its
+// seed state), re-runs the cost pass over every op, and folds the completed
+// levels silently — their arithmetic and both profilers run, but they emit no
+// timeline events, no spans and no steps. Its SimResult, utilization.v1 and
+// memory.v1 are bit-identical to an uninterrupted run's.
 #pragma once
 
 #include "arch/config.h"

@@ -7,10 +7,10 @@ namespace alchemist::sim {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x414c'4348'434b'5031ull;  // "ALCHCKP1"
-// v2: the level-engine state blob carries an optional MemProfiler frame
-// (memory.v1 attribution survives resume). Old blobs lack the frame, so v1
-// streams are rejected rather than misparsed.
-constexpr std::uint64_t kVersion = 2;
+// v3: the level-engine state is its cursor alone (completed levels); v2
+// blobs carried accumulators and a profiler frame, so v1/v2 streams are
+// rejected rather than misparsed.
+constexpr std::uint64_t kVersion = 3;
 
 }  // namespace
 
@@ -85,35 +85,6 @@ std::uint64_t sim_fingerprint(const arch::ArchConfig& config,
     w.write_u64(fc.max_retries);
   }
   return fnv1a(w.buffer());
-}
-
-void write_registry(BinaryWriter& w, const obs::Registry& reg) {
-  w.write_u64(reg.counters().size());
-  for (const auto& [key, value] : reg.counters()) {
-    w.write_tag(key);
-    w.write_u64(value);
-  }
-  w.write_u64(reg.gauges().size());
-  for (const auto& [key, value] : reg.gauges()) {
-    w.write_tag(key);
-    w.write_double(value);
-  }
-}
-
-void read_registry(BinaryReader& r, obs::Registry& reg) {
-  reg.clear();
-  const std::uint64_t n_counters = r.read_u64();
-  for (std::uint64_t i = 0; i < n_counters; ++i) {
-    // Keys are already canonical (metric_key of a tagless add is the name
-    // verbatim), so re-adding under the stored key reproduces the exact map.
-    const std::string key = r.read_string();
-    reg.add(key, r.read_u64());
-  }
-  const std::uint64_t n_gauges = r.read_u64();
-  for (std::uint64_t i = 0; i < n_gauges; ++i) {
-    const std::string key = r.read_string();
-    reg.set_gauge(key, r.read_double());
-  }
 }
 
 }  // namespace alchemist::sim

@@ -4,8 +4,11 @@
 // from a step boundary: which engine produced it, which workload/graph it
 // belongs to, a fingerprint of the machine + fault configuration (resuming on
 // a different geometry would silently produce garbage, so it is a typed
-// error), the number of completed steps, and an engine-specific cursor blob
-// (cycle accumulators, per-op dynamic state, registry snapshot).
+// error), the number of completed steps, and an engine-specific cursor blob.
+// Everything an engine can recompute — per-op costs, fault draws, profiler
+// feeds — is recomputed on resume, so the blob holds only the cursor: the
+// level engine's is its completed-level count (one u64); the event engine's
+// is its clock, integrals and per-op remaining work and ready set.
 //
 // Serialization goes through the hardened common/serdes layer: magic +
 // version header, length-capped strings/blobs, and an FNV-1a integrity footer
@@ -21,7 +24,6 @@
 #include "arch/config.h"
 #include "common/serdes.h"
 #include "fault/fault_model.h"
-#include "obs/registry.h"
 
 namespace alchemist::sim {
 
@@ -58,10 +60,5 @@ struct Checkpoint {
 // checkpoint whose fingerprint differs from the current run's.
 std::uint64_t sim_fingerprint(const arch::ArchConfig& config,
                               const fault::FaultModel* fault_model);
-
-// Registry snapshot helpers shared by the engine checkpoint writers: the
-// canonical-key counter and gauge maps, length-prefixed.
-void write_registry(BinaryWriter& w, const obs::Registry& reg);
-void read_registry(BinaryReader& r, obs::Registry& reg);
 
 }  // namespace alchemist::sim

@@ -11,38 +11,24 @@
 // lower bound on the analytical model's; tests pin the two within a small
 // factor and above the absolute lower bound (work/cores, bytes/bandwidth).
 //
-// Telemetry: with `config.telemetry` set and a Timeline sink passed, each op
-// is recorded with its *actual* ready/start/end times on its operator class's
-// unit-group tracks, plus per-op HBM key-streaming slices — recording never
-// perturbs the reported SimResult.
+// This engine shares the simulator core with the level engine (see
+// sim/alchemist_sim.h): the per-op costs come from sim/cost_pass.h, costed in
+// graph-index order (its fault sampling order), and RunControl owns stops,
+// checkpoints and spans. A step here is one completion interval. Observers:
+// a Timeline gets each op with its actual ready/start/end times plus per-op
+// HBM key-streaming slices; the UnitProfiler accrues every interval's
+// delivered, reduction and scratchpad core-cycles (core sharing is uniform
+// across units, so one fractional profile covers the machine); the
+// MemProfiler is fed after the loop, in HBM prefetch order, with each op's
+// retirement time.
 //
-// Profiling mirrors simulate_alchemist: an optional UnitProfiler accrues the
-// delivered/reduction/scratchpad core-cycles of every completion interval
-// (core sharing is uniform across units, so one fractional profile covers
-// the machine) and integerizes at the end so each unit's buckets sum exactly
-// to the cycle count. Dropped on checkpoint resume; no counter tracks are
-// emitted by this engine (the level engine's per-level sampling is the
-// Perfetto view).
-//
-// Memory profiling mirrors simulate_alchemist: an optional MemProfiler fills
-// SimResult.mem_profile (memory.v1) from the op stream in HBM prefetch order
-// with each op's actual retirement time. The feed happens after the event
-// loop from per-op state that checkpoint/resume restores exactly, so — unlike
-// the UnitProfiler — a resumed run's memory.v1 is bit-identical to an
-// uninterrupted one with no extra checkpoint bytes.
-//
-// Fault modeling mirrors simulate_alchemist (see alchemist_sim.h): the same
-// FaultModel degrades the geometry, inflates slot-partitioned work for the
-// re-homed stripe, and charges policy-priced retry work per op — sampled in
-// graph index order so a fixed seed reproduces the run on either engine.
-//
-// Execution control: with a sim::SimControl attached the event loop becomes
-// cooperative — a step is one completion interval. The engine polls the
-// CancelToken / step budget each iteration and can snapshot its cursor (event
-// clock, per-op remaining work, ready set) into a Checkpoint; the per-op
-// setup (lowering, fault sampling, key prefetch schedule) is deterministic
-// and is simply recomputed on resume, so a resumed run's SimResult is
-// bit-identical to an uninterrupted one.
+// The checkpoint cursor is the event clock, the integrals and each op's
+// remaining work and ready state; the costs are recomputed on resume, so a
+// resumed run's SimResult and memory.v1 are bit-identical to an uninterrupted
+// one. The one asymmetry with the level engine: the cursor does not hold the
+// interval history, so a resumed run cannot attribute the cycles before the
+// cut — the UnitProfiler is dropped on resume and the profile comes back
+// empty.
 #pragma once
 
 #include "arch/config.h"

@@ -19,7 +19,7 @@ void MemProfiler::begin(const arch::ArchConfig& cfg, obs::Timeline* timeline) {
   if (hbm_bpc_ <= 0) hbm_bpc_ = 1.0;
   capacity_bytes_ = static_cast<std::uint64_t>(cfg.total_sram_kb()) * 1024;
   timeline_ = timeline;
-  if (timeline_ && timeline_->enabled()) {
+  if (timeline_) {
     timeline_->set_track_name(kMemBwTid, "mem/bw");
     timeline_->set_track_name(kMemScratchTid, "mem/scratchpad");
   }
@@ -30,9 +30,7 @@ void MemProfiler::begin(const arch::ArchConfig& cfg, obs::Timeline* timeline) {
   intervals_.clear();
 }
 
-void MemProfiler::record_op(const metaop::HighOp& op, double release_cycle) {
-  if (!active_ || op.hbm_bytes == 0) return;
-
+void MemProfiler::record_fetch(const metaop::HighOp& op, double release_cycle) {
   const auto cls = static_cast<std::size_t>(metaop::class_of(op.kind));
   // Attribute descriptor bytes; the sum is clamped to hbm_bytes so the
   // conservation invariant survives a buggy lowering, and any shortfall is
@@ -96,45 +94,59 @@ void MemProfiler::finish(std::uint64_t total_cycles, obs::MemoryProfile& out) {
     out.keys.emplace(id, std::move(kf));
   }
 
-  // Exact residency high-water mark: endpoint sweep, releases before fetches
-  // at equal timestamps (a set leaving makes room for the next in the same
-  // cycle).
-  std::vector<std::pair<double, std::int64_t>> events;
-  events.reserve(intervals_.size() * 2);
-  for (const Interval& iv : intervals_) {
-    events.emplace_back(iv.fetch_start, static_cast<std::int64_t>(iv.bytes));
-    events.emplace_back(iv.release, -static_cast<std::int64_t>(iv.bytes));
-  }
-  std::sort(events.begin(), events.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;  // negative (release) first at ties
-  });
+  // Fetches stream back to back in schedule order, so the fetch intervals
+  // are disjoint and sorted; only the releases need sorting. Every sweep below
+  // is then a merge of the two sorted endpoint sequences.
+  std::vector<std::pair<double, std::uint64_t>> releases;  // (cycle, bytes)
+  releases.reserve(intervals_.size());
+  for (const Interval& iv : intervals_) releases.emplace_back(iv.release, iv.bytes);
+  std::sort(releases.begin(), releases.end());
+
+  // Exact residency high-water mark, releases before fetches at equal
+  // timestamps (a set leaving makes room for the next in the same cycle).
   std::int64_t resident = 0, peak = 0;
-  for (const auto& [ts, delta] : events) {
-    resident += delta;
+  std::size_t r = 0;
+  for (const Interval& iv : intervals_) {
+    for (; r < releases.size() && releases[r].first <= iv.fetch_start; ++r) {
+      resident -= static_cast<std::int64_t>(releases[r].second);
+    }
+    resident += static_cast<std::int64_t>(iv.bytes);
     peak = std::max(peak, resident);
   }
-  out.scratch_peak_bytes = static_cast<std::uint64_t>(std::max<std::int64_t>(peak, 0));
+  out.scratch_peak_bytes = static_cast<std::uint64_t>(peak);
 
-  // Epoch timelines over [0, total_cycles).
+  // Epoch timelines over [0, total_cycles). Epoch starts increase, so one
+  // cursor per endpoint sequence walks each sequence once.
   if (total_cycles > 0) {
     const double epoch_len = static_cast<double>(total_cycles) / kEpochs;
     out.bw_util.assign(kEpochs, 0.0);
     out.occupancy_bytes.assign(kEpochs, 0);
+    std::size_t first = 0;    // first fetch still streaming at the epoch start
+    std::size_t fetched = 0;  // fetches started by the epoch start
+    std::size_t released = 0;
+    std::uint64_t fetched_bytes = 0, released_bytes = 0;
     for (std::size_t e = 0; e < kEpochs; ++e) {
       const double lo = e * epoch_len;
       const double hi = lo + epoch_len;
+      while (first < intervals_.size() && intervals_[first].fetch_end <= lo) ++first;
       double busy = 0;
-      std::uint64_t occ = 0;
-      for (const Interval& iv : intervals_) {
-        busy += std::max(0.0, std::min(iv.fetch_end, hi) -
-                                  std::max(iv.fetch_start, lo));
-        if (iv.fetch_start <= lo && lo < iv.release) occ += iv.bytes;
+      for (std::size_t i = first; i < intervals_.size() && intervals_[i].fetch_start < hi;
+           ++i) {
+        busy += std::max(0.0, std::min(intervals_[i].fetch_end, hi) -
+                                  std::max(intervals_[i].fetch_start, lo));
+      }
+      for (; fetched < intervals_.size() && intervals_[fetched].fetch_start <= lo;
+           ++fetched) {
+        fetched_bytes += intervals_[fetched].bytes;
+      }
+      // A set released by lo was fetched by lo (release >= fetch end).
+      for (; released < releases.size() && releases[released].first <= lo; ++released) {
+        released_bytes += releases[released].second;
       }
       out.bw_util[e] = std::min(1.0, busy / epoch_len);
-      out.occupancy_bytes[e] = occ;
+      out.occupancy_bytes[e] = fetched_bytes - released_bytes;
     }
-    if (timeline_ && timeline_->enabled()) {
+    if (timeline_) {
       for (std::size_t e = 0; e < kEpochs; ++e) {
         obs::CounterEvent bw;
         bw.name = "mem/bw";
@@ -151,60 +163,6 @@ void MemProfiler::finish(std::uint64_t total_cycles, obs::MemoryProfile& out) {
         timeline_->record_counter(std::move(sp));
       }
     }
-  }
-}
-
-void MemProfiler::serialize(BinaryWriter& w) const {
-  w.write_double(bytes_prefix_);
-  w.write_u64(total_bytes_);
-  for (const auto& row : bytes_)
-    for (std::uint64_t b : row) w.write_u64(b);
-  w.write_u64(keys_.size());
-  for (const auto& [id, entry] : keys_) {
-    w.write_u64(id);
-    w.write_u8(entry.operand);
-    w.write_u64(entry.fetches);
-    w.write_u64(entry.total_bytes);
-    w.write_u64(entry.refetch_bytes);
-  }
-  w.write_u64(intervals_.size());
-  for (const Interval& iv : intervals_) {
-    w.write_double(iv.fetch_start);
-    w.write_double(iv.fetch_end);
-    w.write_double(iv.release);
-    w.write_u64(iv.bytes);
-  }
-}
-
-void MemProfiler::deserialize(BinaryReader& r) {
-  bytes_prefix_ = r.read_double();
-  total_bytes_ = r.read_u64();
-  for (auto& row : bytes_)
-    for (std::uint64_t& b : row) b = r.read_u64();
-  keys_.clear();
-  const std::uint64_t n_keys = r.read_u64();
-  for (std::uint64_t i = 0; i < n_keys; ++i) {
-    const std::uint64_t id = r.read_u64();
-    Ledger entry;
-    entry.operand = r.read_u8();
-    entry.fetches = r.read_u64();
-    entry.total_bytes = r.read_u64();
-    entry.refetch_bytes = r.read_u64();
-    keys_.emplace(id, entry);
-  }
-  intervals_.clear();
-  const std::uint64_t n_iv = r.read_u64();
-  // 33 bytes/interval minimum: cap the reserve against the bytes actually
-  // remaining (the serdes discipline — never allocate on a declared length).
-  intervals_.reserve(
-      static_cast<std::size_t>(std::min<std::uint64_t>(n_iv, r.remaining() / 32)));
-  for (std::uint64_t i = 0; i < n_iv; ++i) {
-    Interval iv;
-    iv.fetch_start = r.read_double();
-    iv.fetch_end = r.read_double();
-    iv.release = r.read_double();
-    iv.bytes = r.read_u64();
-    intervals_.push_back(iv);
   }
 }
 

@@ -21,21 +21,19 @@
 // retirement and is evicted once when it retires; a later fetch of the same
 // key_id is a re-fetch in the ledger.
 //
-// Unlike UnitProfiler, checkpoint/resume KEEPS the profile: the level engine
-// serializes the profiler's accumulators into its checkpoint blob (schema v2)
-// and restores them on resume, so a resumed run's memory.v1 section is
-// bit-identical to an uninterrupted one; the event engine reconstructs the
-// identical feed deterministically from its restored per-op state and needs
-// no extra checkpoint bytes.
+// Checkpoint/resume keeps the profile on both engines without any checkpoint
+// bytes: the level engine re-feeds every level on resume, and the event
+// engine feeds the profiler after its loop from per-op state the checkpoint
+// restores, so a resumed run's memory.v1 is bit-identical to an uninterrupted
+// one.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "arch/config.h"
-#include "common/serdes.h"
 #include "metaop/metaop.h"
 #include "metaop/op_graph.h"
 #include "obs/memory.h"
@@ -55,19 +53,15 @@ class MemProfiler {
 
   // One scheduled op, in HBM prefetch (schedule) order. `release_cycle` is
   // when the op retires and its working set leaves the scratchpad.
-  void record_op(const metaop::HighOp& op, double release_cycle);
+  void record_op(const metaop::HighOp& op, double release_cycle) {
+    if (active_ && op.hbm_bytes != 0) record_fetch(op, release_cycle);
+  }
 
   // Fill `out` (attribution, ledger, epoch timelines over total_cycles) and
   // emit the Perfetto counter tracks when a timeline is attached.
   void finish(std::uint64_t total_cycles, obs::MemoryProfile& out);
 
   bool active() const { return active_; }
-
-  // Checkpoint carry (level engine): accumulator state only — geometry and
-  // the timeline come from begin(), and the checkpoint fingerprint guarantees
-  // the resumed run uses the same ArchConfig.
-  void serialize(BinaryWriter& w) const;
-  void deserialize(BinaryReader& r);
 
  private:
   struct Ledger {
@@ -85,6 +79,8 @@ class MemProfiler {
     std::uint64_t bytes = 0;
   };
 
+  void record_fetch(const metaop::HighOp& op, double release_cycle);
+
   bool active_ = false;
   double hbm_bpc_ = 1.0;
   std::uint64_t capacity_bytes_ = 0;
@@ -95,7 +91,7 @@ class MemProfiler {
   std::array<std::array<std::uint64_t, metaop::kNumOpClasses>,
              metaop::kNumOperandClasses>
       bytes_{};
-  std::map<std::uint64_t, Ledger> keys_;
+  std::unordered_map<std::uint64_t, Ledger> keys_;  // ordered in finish()
   std::vector<Interval> intervals_;
 };
 

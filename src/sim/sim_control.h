@@ -2,18 +2,22 @@
 //
 // Both engines (sim/alchemist_sim.h level-by-level, sim/event_sim.h
 // event-driven) advance in *steps* — one scheduled level, one completion
-// interval — and poll a SimControl between steps. That gives the serving
-// layer (src/svc) three capabilities without preemption:
+// interval. A caller-side SimControl gives the serving layer (src/svc) three
+// capabilities without preemption:
 //
 //   * cancellation:  a CancelToken flipped from any thread stops the run at
 //     the next step boundary;
 //   * deadlines:     either a wall-clock deadline carried by the token or a
 //     deterministic per-call step budget (max_steps) — the latter is what the
 //     reproducible soak and the checkpoint tests use;
-//   * checkpointing: the engine snapshots its cursor (completed-step index,
-//     cycle accumulators, registry state) into a sim::Checkpoint every
-//     checkpoint_interval steps and always at the stop point, so an
+//   * checkpointing: the engine snapshots its cursor into a sim::Checkpoint
+//     every checkpoint_interval steps and always at the stop point, so an
 //     interrupted job can later resume instead of restarting.
+//
+// Engine-side, one RunControl per run owns all of it: checkpoint header
+// validation on resume, stop and step-budget polling, checkpoint writing, and
+// the engine's distributed-tracing spans (span buffer, checkpoint markers,
+// the terminal "sim" span). The engines only supply their cursor.
 //
 // A stopped run throws CancelledError after publishing the final checkpoint;
 // the SimResult of a resumed run is bit-identical to an uninterrupted one
@@ -24,6 +28,9 @@
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 #include "sim/checkpoint.h"
@@ -102,18 +109,8 @@ struct SimControl {
   obs::TraceSink* trace = nullptr;
   obs::TraceContext trace_ctx{};
   obs::TraceDetail trace_detail = obs::TraceDetail::Phases;
-  // Run fidelity (see SimDetail). The engines consult the effective_*
-  // accessors below instead of the raw fields so the downgrade applies in
-  // one place.
+  // Run fidelity (see SimDetail); RunControl applies the downgrade.
   SimDetail detail = SimDetail::Full;
-
-  obs::TraceDetail effective_trace_detail() const {
-    return detail == SimDetail::Reduced ? obs::TraceDetail::Lifecycle
-                                        : trace_detail;
-  }
-  std::uint64_t effective_checkpoint_interval() const {
-    return detail == SimDetail::Reduced ? 0 : checkpoint_interval;
-  }
 };
 
 // A cooperative stop. The latest cursor has already been written to
@@ -144,5 +141,62 @@ inline const char* to_string(StopReason r) {
   }
   return "?";
 }
+
+// Engine-side owner of one run's SimControl (null = uncontrolled, untraced).
+class RunControl {
+ public:
+  using NumAttrs = std::vector<std::pair<std::string, double>>;
+
+  // Validates an incoming checkpoint against this run — engine, workload,
+  // op count and sim_fingerprint() — and throws CheckpointError on mismatch.
+  RunControl(SimControl* control, const char* engine, const std::string& workload,
+             std::uint64_t op_count, std::uint64_t fingerprint);
+
+  // The checkpoint this run resumes from, or null for a fresh run.
+  const Checkpoint* resume() const { return resume_; }
+
+  // Marks where this call's own execution starts (the terminal span's ts).
+  void start(double now) { start_ = now; }
+
+  // Before each step: the reason to stop now, or StopReason::None.
+  StopReason poll() const;
+  // Publishes the stop-point checkpoint (`state` is the engine cursor),
+  // records the terminal span and throws CancelledError(why, cursor).
+  [[noreturn]] void stop(StopReason why, std::uint64_t cursor, double now,
+                         std::vector<std::uint8_t> state);
+  // After each executed step: true when an interval checkpoint is due.
+  bool step_done();
+  void checkpoint(std::uint64_t cursor, double now, std::vector<std::uint8_t> state);
+  // Terminal span of a run that ran to completion; flushes buffered spans.
+  void complete(double now) { finish("completed", now); }
+
+  // Spans: recorded only when tracing at `at_least` detail or finer.
+  bool traces(obs::TraceDetail at_least) const {
+    return spans_on_ && detail_ >= at_least;
+  }
+  const obs::TraceContext& context() const { return sim_ctx_; }
+  void span(const obs::TraceContext& ctx, std::string name, const char* track,
+            double ts, double dur, NumAttrs num_attrs,
+            std::vector<std::pair<std::string, std::string>> attrs = {});
+
+ private:
+  void finish(const char* outcome, double now);
+
+  SimControl* control_;
+  const char* engine_;
+  std::string workload_;
+  std::uint64_t op_count_;
+  std::uint64_t fingerprint_;
+  const Checkpoint* resume_ = nullptr;
+  std::uint64_t resume_step_ = 0;
+  std::uint64_t interval_ = 0;
+  std::uint64_t executed_ = 0;
+  double start_ = 0;
+  bool spans_on_ = false;
+  obs::TraceDetail detail_ = obs::TraceDetail::Lifecycle;
+  obs::TraceContext sim_ctx_;
+  std::uint64_t checkpoints_ = 0;
+  std::vector<obs::SpanRecord> spans_;
+};
 
 }  // namespace alchemist::sim

@@ -20,7 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "fault/fault_model.h"
 #include "metaop/metaop.h"
+#include "metaop/op_graph.h"
 #include "obs/timeline.h"
 
 namespace alchemist::sim {
@@ -37,11 +39,30 @@ inline constexpr std::uint32_t kUtilTidBase = kHbmTid + 4;
 inline constexpr std::uint32_t kMemBwTid = kUtilTidBase + 65536;
 inline constexpr std::uint32_t kMemScratchTid = kMemBwTid + 1;
 
-inline void name_fixed_tracks(obs::Timeline& timeline) {
-  timeline.set_track_name(kHbmTid, "hbm");
-  timeline.set_track_name(kTransposeTid, "transpose");
-  timeline.set_track_name(kSchedulerTid, "scheduler");
-  timeline.set_track_name(kFaultTid, "fault");
+
+// "NTT#12": an op's slice label.
+inline std::string op_label(const metaop::HighOp& op, std::size_t idx) {
+  return std::string(metaop::to_string(op.kind)) + "#" + std::to_string(idx);
+}
+
+// One fault-model slice: an op's injected transients and the core-cycles its
+// mitigation re-executed.
+inline void record_fault(obs::Timeline& timeline, const metaop::HighOp& op,
+                         std::size_t idx, const fault::OpFaults& faults,
+                         double retry_core_cycles, double ts, double dur) {
+  obs::TraceEvent fe;
+  fe.name = "fault " + op_label(op, idx);
+  fe.cat = "fault";
+  fe.tid = kFaultTid;
+  fe.ts = ts;
+  fe.dur = dur;
+  fe.num_args = {
+      {"faults_compute", static_cast<double>(faults.compute)},
+      {"faults_sram", static_cast<double>(faults.sram)},
+      {"faults_hbm", static_cast<double>(faults.hbm)},
+      {"retry_core_cycles", retry_core_cycles},
+  };
+  timeline.record(std::move(fe));
 }
 
 // First-fit row allocation for one operator class's unit-group track family.
@@ -76,5 +97,22 @@ class ClassTrackRows {
   metaop::OpClass cls_;
   std::vector<double> row_end_;
 };
+
+// Names the simulator process and its fixed tracks, and returns one row
+// allocator per operator class; no-op (and no rows) for an untraced run.
+inline std::vector<ClassTrackRows> begin_trace(obs::Timeline* timeline,
+                                               const char* process) {
+  std::vector<ClassTrackRows> rows;
+  if (timeline == nullptr) return rows;
+  timeline->set_process_name(process);
+  timeline->set_track_name(kHbmTid, "hbm");
+  timeline->set_track_name(kTransposeTid, "transpose");
+  timeline->set_track_name(kSchedulerTid, "scheduler");
+  timeline->set_track_name(kFaultTid, "fault");
+  for (std::size_t c = 0; c < metaop::kNumOpClasses; ++c) {
+    rows.emplace_back(*timeline, static_cast<metaop::OpClass>(c));
+  }
+  return rows;
+}
 
 }  // namespace alchemist::sim

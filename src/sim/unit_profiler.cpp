@@ -15,6 +15,9 @@ using metaop::class_tag;
 using metaop::kNumOpClasses;
 using metaop::OpClass;
 
+// Shape table size: a bootstrap has ~240 distinct level shapes.
+constexpr int kShapeBits = 10;
+
 std::string unit_track_name(std::size_t unit) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "util/unit%03zu", unit);
@@ -62,6 +65,7 @@ void UnitProfiler::begin(std::size_t num_units, std::size_t cores_per_unit,
   diff_reduction_.assign(num_units + 1, 0);
   diff_dependency_.assign(num_units + 1, 0);
   scratch_cycles_ = 0;
+  shapes_.assign(std::size_t{1} << kShapeBits, Shape{});
   if (timeline_ != nullptr) {
     for (std::size_t u = 0; u < num_units_; ++u) {
       timeline_->set_track_name(kUtilTidBase + static_cast<std::uint32_t>(u),
@@ -70,14 +74,44 @@ void UnitProfiler::begin(std::size_t num_units, std::size_t cores_per_unit,
   }
 }
 
-void UnitProfiler::add_level(std::uint64_t start_cycle, const Level& level) {
-  if (num_units_ == 0) return;
+std::array<std::uint64_t, 3> UnitProfiler::unit_buckets(std::uint64_t w,
+                                                       std::uint64_t r,
+                                                       std::uint64_t unit) const {
   const std::uint64_t U = num_units_;
   const std::uint64_t C = cores_per_unit_;
+  const std::uint64_t compute_wall = (w + U * C - 1) / (U * C);
+  const std::uint64_t work_u = w / U + (unit < w % U ? 1 : 0);
+  const std::uint64_t occ_u = (work_u + C - 1) / C;
+  const std::uint64_t red_core_u = r / U + (unit < r % U ? 1 : 0);
+  const std::uint64_t red_u = std::min(occ_u, (red_core_u + C - 1) / C);
+  return {occ_u - red_u, red_u, compute_wall - occ_u};
+}
+
+void UnitProfiler::apply(const Shape& shape) {
+  const std::uint64_t U = num_units_;
+  const std::uint64_t rW = shape.core_cycles % U;
+  const std::uint64_t rR = shape.reduction_core_cycles % U;
+  const std::array<std::uint64_t, 4> cut = {0, std::min(rW, rR), std::max(rW, rR), U};
+  const auto n = static_cast<std::int64_t>(shape.count);
+  for (int s = 0; s < 3; ++s) {
+    const std::uint64_t a = cut[s], b = cut[s + 1];
+    if (a >= b) continue;
+    const auto [busy, red, dep] =
+        unit_buckets(shape.core_cycles, shape.reduction_core_cycles, a);
+    diff_busy_[a] += n * static_cast<std::int64_t>(busy);
+    diff_busy_[b] -= n * static_cast<std::int64_t>(busy);
+    diff_reduction_[a] += n * static_cast<std::int64_t>(red);
+    diff_reduction_[b] -= n * static_cast<std::int64_t>(red);
+    diff_dependency_[a] += n * static_cast<std::int64_t>(dep);
+    diff_dependency_[b] -= n * static_cast<std::int64_t>(dep);
+  }
+}
+
+void UnitProfiler::add_level(std::uint64_t start_cycle, const Level& level,
+                             bool sample) {
+  if (num_units_ == 0) return;
   const std::uint64_t W = level.core_cycles;
   const std::uint64_t R = level.reduction_core_cycles;
-  const std::uint64_t compute_wall = (W + U * C - 1) / (U * C);
-  const std::uint64_t level_wall = compute_wall + level.transpose_cycles;
 
   // Class attribution is deferred to finish(): accumulating the per-class
   // core-cycle totals here and splitting each unit's occupied cycles once at
@@ -87,37 +121,26 @@ void UnitProfiler::add_level(std::uint64_t start_cycle, const Level& level) {
   }
   scratch_cycles_ += level.transpose_cycles;
 
-  // Unit u's buckets for this level, constant between the remainder cuts.
-  const std::uint64_t qW = W / U, rW = W % U;
-  const std::uint64_t qR = R / U, rR = R % U;
-  auto unit_buckets = [&](std::uint64_t u) {
-    const std::uint64_t work_u = qW + (u < rW ? 1 : 0);
-    const std::uint64_t occ_u = (work_u + C - 1) / C;
-    const std::uint64_t red_core_u = qR + (u < rR ? 1 : 0);
-    const std::uint64_t red_u = std::min(occ_u, (red_core_u + C - 1) / C);
-    // {busy, reduction, dependency}
-    return std::array<std::uint64_t, 3>{occ_u - red_u, red_u,
-                                        compute_wall - occ_u};
-  };
-  const std::array<std::uint64_t, 4> cut = {0, std::min(rW, rR),
-                                            std::max(rW, rR), U};
-  for (int s = 0; s < 3; ++s) {
-    const std::uint64_t a = cut[s], b = cut[s + 1];
-    if (a >= b) continue;
-    const auto [busy, red, dep] = unit_buckets(a);
-    diff_busy_[a] += static_cast<std::int64_t>(busy);
-    diff_busy_[b] -= static_cast<std::int64_t>(busy);
-    diff_reduction_[a] += static_cast<std::int64_t>(red);
-    diff_reduction_[b] -= static_cast<std::int64_t>(red);
-    diff_dependency_[a] += static_cast<std::int64_t>(dep);
-    diff_dependency_[b] -= static_cast<std::int64_t>(dep);
+  Shape& slot = shapes_[((W * 0x9e37'79b9'7f4a'7c15ull) ^
+                         (R * 0xc2b2'ae3d'27d4'eb4full)) >> (64 - kShapeBits)];
+  if (slot.count != 0 &&
+      (slot.core_cycles != W || slot.reduction_core_cycles != R)) {
+    apply(slot);
+    slot.count = 0;
   }
+  slot.core_cycles = W;
+  slot.reduction_core_cycles = R;
+  ++slot.count;
 
   // Trace mode pays the O(units) loop; profiling without a trace does not.
-  if (timeline_ != nullptr && level_wall > 0) {
+  if (!sample || timeline_ == nullptr) return;
+  const std::uint64_t U = num_units_;
+  const std::uint64_t level_wall =
+      (W + U * cores_per_unit_ - 1) / (U * cores_per_unit_) + level.transpose_cycles;
+  if (level_wall > 0) {
     const double wall = static_cast<double>(level_wall);
     for (std::uint64_t u = 0; u < U; ++u) {
-      const auto [busy_u, red_u, dep_u] = unit_buckets(u);
+      const auto [busy_u, red_u, dep_u] = unit_buckets(W, R, u);
       obs::CounterEvent ev;
       ev.name = unit_track_name(u);
       ev.tid = kUtilTidBase + static_cast<std::uint32_t>(u);
@@ -165,6 +188,10 @@ void UnitProfiler::finish(std::uint64_t total_cycles,
     // Each unit's occupied cycles are split across op classes proportionally
     // to the run's per-class core-cycle totals (largest-remainder, so the
     // class cycles sum exactly to the unit's occupied cycles).
+    for (Shape& shape : shapes_) {
+      if (shape.count != 0) apply(shape);
+      shape.count = 0;
+    }
     out.units.assign(num_units_, obs::UnitCycles{});
     std::int64_t busy = 0, red = 0, dep = 0;
     for (std::size_t u = 0; u < num_units_; ++u) {

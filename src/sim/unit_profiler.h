@@ -28,9 +28,11 @@
 // final ceil() slack in the event engine) into idle, enforcing the exact
 // per-unit invariant sum(buckets) == total_cycles.
 //
-// Checkpoint-resumed runs cannot be profiled — the cycles before the resume
-// point were accounted in a different process and only survive as aggregate
-// counters. Engines drop the profiler on resume; the profile is then empty.
+// Checkpoint/resume: the level engine re-feeds every level on resume (the
+// levels before the cursor are folded silently), so its profile is
+// bit-identical to an uninterrupted run's. The event engine's checkpoint holds
+// no interval history, so it drops the profiler on resume and the profile
+// comes back empty.
 //
 // When a Timeline is attached, add_level() additionally emits one counter
 // sample per unit per level on the kUtilTidBase+unit tracks (busy/reduction/
@@ -62,7 +64,9 @@ class UnitProfiler {
     std::uint64_t transpose_cycles = 0;       // serialized transpose wall
     std::array<std::uint64_t, metaop::kNumOpClasses> class_core_cycles{};
   };
-  void add_level(std::uint64_t start_cycle, const Level& level);
+  // `sample` = false skips the level's per-unit counter samples (a level the
+  // engine folds silently on resume).
+  void add_level(std::uint64_t start_cycle, const Level& level, bool sample = true);
 
   // --- event engine ---------------------------------------------------
   // One simulation interval of length dt machine-cycles: `delivered` core-
@@ -85,11 +89,25 @@ class UnitProfiler {
 
   // Level mode: a level's per-unit share is piecewise constant in the unit
   // index (units below W%U / R%U carry one extra core-cycle), so each level
-  // contributes three range-adds on difference arrays instead of an O(units)
-  // loop; finish() prefix-sums them into per-unit buckets. Scratchpad stall
-  // is identical for every unit and stays a scalar.
+  // shape contributes three range-adds on difference arrays instead of an
+  // O(units) loop; finish() prefix-sums them into per-unit buckets.
+  // Scratchpad stall is identical for every unit and stays a scalar.
   std::vector<std::int64_t> diff_busy_, diff_reduction_, diff_dependency_;
   std::uint64_t scratch_cycles_ = 0;
+  // The buckets depend only on a level's (W, R) shape, and a bootstrap's
+  // ~10^4 levels repeat a few hundred shapes: add_level() only counts shapes
+  // in a direct-mapped table, and apply() range-adds a shape times its count
+  // when its slot is reused and at finish().
+  struct Shape {
+    std::uint64_t core_cycles = 0;
+    std::uint64_t reduction_core_cycles = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Shape> shapes_;
+  void apply(const Shape& shape);
+  // {busy, reduction, dependency} cycles of `unit` in a level of shape (w, r).
+  std::array<std::uint64_t, 3> unit_buckets(std::uint64_t w, std::uint64_t r,
+                                            std::uint64_t unit) const;
 
   // Event mode: shared accumulators (units are interchangeable).
   double acc_time_ = 0;

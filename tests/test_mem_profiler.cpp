@@ -285,8 +285,8 @@ TEST(MemProfiler, DescriptorFreeGraphFallsBackToCtLimb) {
 
 // A run interrupted at a step boundary and resumed with a fresh profiler must
 // produce a memory.v1 section bit-identical to the uninterrupted run, on both
-// engines (level: serialized accumulators, schema v2; event: deterministic
-// reconstruction from per-op state).
+// engines (level: the resumed run re-feeds every level; event: deterministic
+// reconstruction from per-op state). Checkpoints carry no profiler bytes.
 void check_resumed_profile_identical(bool event) {
   const metaop::OpGraph g =
       workloads::build_keyswitch(workloads::CkksWl::paper(16));
@@ -325,43 +325,35 @@ TEST(MemProfiler, EventEngineResumeKeepsProfileBitIdentical) {
   check_resumed_profile_identical(true);
 }
 
-// Resuming WITHOUT a profiler from a checkpoint taken WITH one must still
-// work (the v2 frame is parsed and discarded), and resuming WITH a profiler
-// from a profiler-less checkpoint disables profiling rather than reporting a
-// half-run profile.
-TEST(MemProfiler, CheckpointPresenceMismatchDegradesSafely) {
+// Checkpoints carry no profiler state, so whether the interrupted leg was
+// profiled does not matter: resuming without a profiler reports none, and
+// resuming with one reports the whole run's profile.
+TEST(MemProfiler, ResumeProfileIndependentOfFirstLeg) {
   const metaop::OpGraph g =
       workloads::build_keyswitch(workloads::CkksWl::paper(16));
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  const sim::SimResult ref = run_engine(false, g, cfg);
-
-  // Profiled first leg -> unprofiled resume.
-  {
-    sim::Checkpoint cp;
-    sim::SimControl ctl;
-    ctl.max_steps = 1;
-    ctl.checkpoint = &cp;
-    sim::MemProfiler mem;
-    ASSERT_THROW(run_engine(false, g, cfg, &mem, &ctl), sim::CancelledError);
-    sim::SimControl resume;
-    resume.checkpoint = &cp;
-    const sim::SimResult r = run_engine(false, g, cfg, nullptr, &resume);
-    EXPECT_EQ(r.cycles, ref.cycles);
-    EXPECT_FALSE(r.mem_profile.enabled());
-  }
-  // Unprofiled first leg -> profiled resume: a half-run profile would lie.
-  {
-    sim::Checkpoint cp;
-    sim::SimControl ctl;
-    ctl.max_steps = 1;
-    ctl.checkpoint = &cp;
-    ASSERT_THROW(run_engine(false, g, cfg, nullptr, &ctl), sim::CancelledError);
-    sim::SimControl resume;
-    resume.checkpoint = &cp;
-    sim::MemProfiler mem;
-    const sim::SimResult r = run_engine(false, g, cfg, &mem, &resume);
-    EXPECT_EQ(r.cycles, ref.cycles);
-    EXPECT_FALSE(r.mem_profile.enabled());
+  for (bool event : {false, true}) {
+    sim::MemProfiler ref_mem;
+    const sim::SimResult ref = run_engine(event, g, cfg, &ref_mem);
+    for (bool first_profiled : {false, true}) {
+      for (bool resume_profiled : {false, true}) {
+        sim::Checkpoint cp;
+        sim::SimControl ctl;
+        ctl.max_steps = 1;
+        ctl.checkpoint = &cp;
+        sim::MemProfiler first;
+        ASSERT_THROW(run_engine(event, g, cfg, first_profiled ? &first : nullptr, &ctl),
+                     sim::CancelledError);
+        sim::SimControl resume;
+        resume.checkpoint = &cp;
+        sim::MemProfiler mem;
+        const sim::SimResult r = run_engine(
+            event, g, cfg, resume_profiled ? &mem : nullptr, &resume);
+        EXPECT_EQ(r.cycles, ref.cycles);
+        EXPECT_EQ(r.mem_profile.enabled(), resume_profiled);
+        if (resume_profiled) expect_same_profile(r.mem_profile, ref.mem_profile);
+      }
+    }
   }
 }
 

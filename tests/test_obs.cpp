@@ -1,6 +1,6 @@
 // Observability-layer tests: counter registry semantics, Chrome trace export
 // schema, metrics report schema, and the observer-effect-zero guarantee
-// (telemetry on/off yields bit-identical SimResults).
+// (a traced run yields a SimResult bit-identical to an untraced one).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 
 #include "arch/config.h"
 #include "common/thread_pool.h"
+#include "fault/fault_model.h"
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "obs/histogram.h"
@@ -136,8 +137,7 @@ std::vector<double> scan_numeric_field(const std::string& json,
 }
 
 TEST(ObsTrace, LevelSimEmitsSchemaValidChromeTrace) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   const auto r = sim::simulate_alchemist(tiny_graph(), cfg, &timeline);
   ASSERT_FALSE(timeline.events().empty());
@@ -172,8 +172,7 @@ TEST(ObsTrace, LevelSimEmitsSchemaValidChromeTrace) {
 }
 
 TEST(ObsTrace, EventSimEmitsPerOpSlices) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   const OpGraph g = tiny_graph();
   const auto r = sim::simulate_alchemist_events(g, cfg, &timeline);
@@ -192,17 +191,37 @@ TEST(ObsTrace, EventSimEmitsPerOpSlices) {
 }
 
 TEST(ObsTrace, DisabledTelemetryRecordsNothing) {
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();  // telemetry = false
+  // Tracing is exactly "a Timeline was passed". Profilers reused from a
+  // traced run must not keep feeding that run's timeline once a later run is
+  // untraced.
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
-  sim::simulate_alchemist(tiny_graph(), cfg, &timeline);
-  sim::simulate_alchemist_events(tiny_graph(), cfg, &timeline);
-  EXPECT_TRUE(timeline.events().empty());
-
-  // A disabled sink also drops records even if the config enables telemetry.
-  cfg.telemetry = true;
-  obs::Timeline off(/*enabled=*/false);
-  sim::simulate_alchemist(tiny_graph(), cfg, &off);
-  EXPECT_TRUE(off.events().empty());
+  sim::UnitProfiler unit;
+  sim::MemProfiler mem;
+  for (bool event : {false, true}) {
+    timeline.clear();
+    if (event) {
+      sim::simulate_alchemist_events(tiny_graph(), cfg, &timeline, nullptr,
+                                     nullptr, &unit, &mem);
+    } else {
+      sim::simulate_alchemist(tiny_graph(), cfg, &timeline, nullptr, nullptr,
+                              &unit, &mem);
+    }
+    ASSERT_FALSE(timeline.events().empty());
+    const std::size_t events = timeline.events().size();
+    const std::size_t counters = timeline.counter_events().size();
+    const std::size_t tracks = timeline.track_names().size();
+    if (event) {
+      sim::simulate_alchemist_events(tiny_graph(), cfg, nullptr, nullptr,
+                                     nullptr, &unit, &mem);
+    } else {
+      sim::simulate_alchemist(tiny_graph(), cfg, nullptr, nullptr, nullptr,
+                              &unit, &mem);
+    }
+    EXPECT_EQ(timeline.events().size(), events);
+    EXPECT_EQ(timeline.counter_events().size(), counters);
+    EXPECT_EQ(timeline.track_names().size(), tracks);
+  }
 }
 
 // --- Observer effect = 0 --------------------------------------------------
@@ -225,12 +244,10 @@ void expect_identical_results(const sim::SimResult& a, const sim::SimResult& b) 
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbLevelSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(44);
   const OpGraph g = workloads::build_keyswitch(w);
-  arch::ArchConfig off = arch::ArchConfig::alchemist();
-  arch::ArchConfig on = off;
-  on.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist(g, off);
-  const auto r_on = sim::simulate_alchemist(g, on, &timeline);
+  const auto r_off = sim::simulate_alchemist(g, cfg, nullptr);
+  const auto r_on = sim::simulate_alchemist(g, cfg, &timeline);
   EXPECT_FALSE(timeline.events().empty());
   expect_identical_results(r_off, r_on);
 }
@@ -238,12 +255,10 @@ TEST(ObsObserverEffect, TelemetryDoesNotPerturbLevelSim) {
 TEST(ObsObserverEffect, TelemetryDoesNotPerturbEventSim) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
   const OpGraph g = workloads::build_cmult(w);
-  arch::ArchConfig off = arch::ArchConfig::alchemist();
-  arch::ArchConfig on = off;
-  on.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
-  const auto r_off = sim::simulate_alchemist_events(g, off);
-  const auto r_on = sim::simulate_alchemist_events(g, on, &timeline);
+  const auto r_off = sim::simulate_alchemist_events(g, cfg, nullptr);
+  const auto r_on = sim::simulate_alchemist_events(g, cfg, &timeline);
   EXPECT_FALSE(timeline.events().empty());
   expect_identical_results(r_off, r_on);
 }
@@ -504,28 +519,100 @@ TEST(ObsProfiler, ProfiledRunIsBitIdentical) {
   EXPECT_TRUE(event_on.profile.enabled());
 }
 
-TEST(ObsProfiler, ResumedRunComesBackUnprofiled) {
-  const workloads::CkksWl w = workloads::CkksWl::paper(24);
-  const OpGraph g = workloads::build_keyswitch(w);
-  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-
-  // Interrupt a run, then resume it with a profiler attached: the cycles
-  // before the cut were never observed, so the engine must hand back an
-  // empty profile rather than a partial one.
+// Interrupt a run after `budget` steps, then resume it with a profiler.
+sim::SimResult resume_profiled(bool event, const OpGraph& g,
+                               const arch::ArchConfig& cfg, std::uint64_t budget) {
   sim::Checkpoint cp;
   sim::SimControl stop;
-  stop.max_steps = 2;
+  stop.max_steps = budget;
   stop.checkpoint_interval = 1;
   stop.checkpoint = &cp;
-  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &stop),
+  sim::UnitProfiler first;
+  EXPECT_THROW(event ? sim::simulate_alchemist_events(g, cfg, nullptr, nullptr,
+                                                      &stop, &first)
+                     : sim::simulate_alchemist(g, cfg, nullptr, nullptr, &stop,
+                                               &first),
                sim::CancelledError);
-  ASSERT_TRUE(cp.valid());
+  EXPECT_TRUE(cp.valid());
   sim::SimControl resume;
   resume.checkpoint = &cp;
   sim::UnitProfiler prof;
+  return event ? sim::simulate_alchemist_events(g, cfg, nullptr, nullptr, &resume,
+                                                &prof)
+               : sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume, &prof);
+}
+
+void expect_same_utilization(const obs::UtilizationProfile& a,
+                             const obs::UtilizationProfile& b) {
+  ASSERT_EQ(a.total_cycles, b.total_cycles);
+  ASSERT_EQ(a.units.size(), b.units.size());
+  for (std::size_t u = 0; u < a.units.size(); ++u) {
+    EXPECT_EQ(a.units[u].busy, b.units[u].busy) << "unit " << u;
+    EXPECT_EQ(a.units[u].reduction, b.units[u].reduction) << "unit " << u;
+    EXPECT_EQ(a.units[u].stall_scratchpad, b.units[u].stall_scratchpad);
+    EXPECT_EQ(a.units[u].stall_dependency, b.units[u].stall_dependency);
+    EXPECT_EQ(a.units[u].idle, b.units[u].idle) << "unit " << u;
+    EXPECT_EQ(a.units[u].class_occupied, b.units[u].class_occupied);
+  }
+}
+
+// The level engine's checkpoint is its level cursor alone: a resumed run
+// re-runs the cost pass and folds the completed levels silently, feeding the
+// profiler for every level, so utilization.v1 matches an uninterrupted run
+// at every interrupt point.
+TEST(ObsProfiler, LevelEngineResumeKeepsProfile) {
+  const workloads::CkksWl w = workloads::CkksWl::paper(24);
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  fault::FaultConfig fc;
+  fc.seed = 0x5eed;
+  fc.compute_fault_rate = 2e-8;
+  fc.masked_units = {7};
+  fc.policy = fault::Policy::DetectRetry;
+  const std::vector<std::pair<OpGraph, std::vector<std::uint64_t>>> cases = {
+      {workloads::build_keyswitch(w), {1, 2, 5}},
+      {workloads::build_bootstrapping(w, true), {1, 40, 500}}};
+  for (const auto& [g, budgets] : cases) {
+    sim::UnitProfiler ref_prof;
+    const auto ref =
+        sim::simulate_alchemist(g, cfg, nullptr, nullptr, nullptr, &ref_prof);
+    ASSERT_TRUE(ref.profile.enabled());
+    for (std::uint64_t budget : budgets) {
+      const auto resumed = resume_profiled(false, g, cfg, budget);
+      EXPECT_EQ(resumed.cycles, ref.cycles);
+      ASSERT_TRUE(resumed.profile.enabled()) << g.name << " budget " << budget;
+      expect_same_utilization(resumed.profile, ref.profile);
+    }
+  }
+  // Same under a fault model: the resumed cost pass redraws the transients
+  // from the seed, so the degraded profile matches too.
+  const OpGraph g = workloads::build_keyswitch(w);
+  fault::FaultModel ref_fault(fc, cfg.num_units), fault(fc, cfg.num_units);
+  sim::UnitProfiler ref_prof, prof;
+  const auto ref = sim::simulate_alchemist(g, cfg, nullptr, &ref_fault, nullptr,
+                                           &ref_prof);
+  sim::Checkpoint cp;
+  sim::SimControl stop;
+  stop.max_steps = 3;
+  stop.checkpoint = &cp;
+  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, &fault, &stop),
+               sim::CancelledError);
+  sim::SimControl resume;
+  resume.checkpoint = &cp;
   const auto resumed =
-      sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume, &prof);
-  EXPECT_EQ(resumed.cycles, sim::simulate_alchemist(g, cfg).cycles);
+      sim::simulate_alchemist(g, cfg, nullptr, &fault, &resume, &prof);
+  EXPECT_EQ(resumed.registry.counters(), ref.registry.counters());
+  expect_same_utilization(resumed.profile, ref.profile);
+}
+
+// The one remaining asymmetry: the event engine's checkpoint holds per-op
+// progress, not the interval history, so a resumed event run cannot attribute
+// the cycles before the cut and hands back an empty profile.
+TEST(ObsProfiler, EventEngineResumeComesBackUnprofiled) {
+  const workloads::CkksWl w = workloads::CkksWl::paper(24);
+  const OpGraph g = workloads::build_keyswitch(w);
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  const auto resumed = resume_profiled(true, g, cfg, 2);
+  EXPECT_EQ(resumed.cycles, sim::simulate_alchemist_events(g, cfg).cycles);
   EXPECT_FALSE(resumed.profile.enabled());
 }
 
@@ -551,8 +638,7 @@ TEST(ObsProfiler, ReportGainsUtilizationSection) {
 
 TEST(ObsProfiler, TraceGainsPerUnitCounterTracks) {
   const workloads::CkksWl w = workloads::CkksWl::paper(24);
-  arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  cfg.telemetry = true;
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   sim::UnitProfiler prof;
   const auto r = sim::simulate_alchemist(workloads::build_keyswitch(w), cfg,
@@ -775,7 +861,7 @@ TEST(ObsSpan, MergeIntoTimelineEmitsSlicesAndFlows) {
   obs::SpanRecord attempt = make_span(trace, 3, 1, "attempt", 10, 20);
   attempt.track = "svc/worker0";
 
-  obs::Timeline timeline(true);
+  obs::Timeline timeline;
   obs::merge_spans_into_timeline({queue, attempt}, timeline, /*tid_base=*/500);
   ASSERT_EQ(timeline.events().size(), 2u);
   for (const obs::TraceEvent& ev : timeline.events()) {

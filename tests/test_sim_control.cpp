@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "arch/config.h"
+#include "common/serdes.h"
 #include "fault/fault_model.h"
 #include "metaop/op_graph.h"
 #include "sim/alchemist_sim.h"
@@ -302,6 +303,58 @@ TEST(Checkpoint, RejectsMismatchedResume) {
     EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, &fm, &r),
                  sim::CheckpointError);
   }
+}
+
+// Schema v3 shrank the level-engine state to its level cursor. A v2 level
+// checkpoint — accumulators, registry snapshot and an optional profiler frame
+// after the cursor — must fail with a typed error, never resume wrong: the
+// framed stream is refused by version, and a v2-shaped state blob that
+// reaches the engine in memory is refused by shape.
+TEST(Checkpoint, RejectsSchemaV2LevelCheckpoint) {
+  const metaop::OpGraph g = keyswitch_graph();
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  sim::Checkpoint cp;
+  sim::SimControl ctl;
+  ctl.max_steps = 2;
+  ctl.checkpoint = &cp;
+  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &ctl),
+               sim::CancelledError);
+  ASSERT_TRUE(cp.valid());
+  EXPECT_EQ(cp.state.size(), sizeof(std::uint64_t));  // the cursor alone
+
+  // A v2 level state: cursor, cycle/transpose/busy totals, HBM bytes,
+  // per-class arrays, fault totals, empty registry, no profiler frame.
+  BinaryWriter v2;
+  v2.write_u64(cp.step);
+  for (int i = 0; i < 3; ++i) v2.write_u64(1000);
+  v2.write_double(0.0);
+  v2.write_u64_vector(std::vector<std::uint64_t>(metaop::kNumOpClasses, 0));
+  v2.write_u64_vector(std::vector<std::uint64_t>(metaop::kNumOpClasses, 0));
+  for (int i = 0; i < 7; ++i) v2.write_u64(0);
+  v2.write_u64(0);  // counters
+  v2.write_u64(0);  // gauges
+  v2.write_u8(0);   // no MemProfiler frame
+
+  // Framed under the v2 header with a valid integrity footer.
+  BinaryWriter framed;
+  framed.write_u64(0x414c'4348'434b'5031ull);  // "ALCHCKP1"
+  framed.write_u64(2);
+  framed.write_tag(cp.engine);
+  framed.write_tag(cp.workload);
+  framed.write_u64(cp.op_count);
+  framed.write_u64(cp.fingerprint);
+  framed.write_u64(cp.step);
+  framed.write_bytes(v2.buffer());
+  framed.write_u64(framed.checksum_since(0));
+  EXPECT_THROW(sim::Checkpoint::deserialize(framed.buffer()), sim::CheckpointError);
+
+  // The same blob handed to the engine directly.
+  sim::Checkpoint stale = cp;
+  stale.state = v2.buffer();
+  sim::SimControl resume;
+  resume.checkpoint = &stale;
+  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume),
+               sim::CheckpointError);
 }
 
 }  // namespace
