@@ -2,58 +2,82 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "common/biguint.h"
 
 namespace alchemist::ckks {
 
+namespace {
+
+// In place a[i] <- sum_k a[k] w^(ik) with w = exp(2*pi*i/N) = twist[2]:
+// iterative radix-2 Cooley-Tukey over a bit-reversed input.
+void fft(std::vector<std::complex<double>>& a,
+         const std::vector<std::complex<double>>& twist) {
+  const std::size_t n = a.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(a[i], a[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t stride = 2 * n / len;  // twist[k*stride] = w^(k*N/len)
+    for (std::size_t i = 0; i < n; i += len) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const std::complex<double> u = a[i + k];
+        const std::complex<double> v = a[i + k + half] * twist[k * stride];
+        a[i + k] = u + v;
+        a[i + k + half] = u - v;
+      }
+    }
+  }
+}
+
+}  // namespace
+
 CkksEncoder::CkksEncoder(ContextPtr ctx) : ctx_(std::move(ctx)) {
   const std::size_t n = ctx_->degree();
-  const std::size_t two_n = 2 * n;
-  omega_powers_.resize(two_n);
-  for (std::size_t t = 0; t < two_n; ++t) {
-    const double angle = M_PI * static_cast<double>(t) / static_cast<double>(n);
-    omega_powers_[t] = {std::cos(angle), std::sin(angle)};
+  twist_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    twist_[k] = std::polar(1.0, M_PI * static_cast<double>(k) / static_cast<double>(n));
   }
-  rot_group_.resize(n / 2);
+  slot_index_.resize(n / 2);
   std::size_t g = 1;
   for (std::size_t j = 0; j < n / 2; ++j) {
-    rot_group_[j] = g;
-    g = (g * 5) % two_n;
+    slot_index_[j] = (g - 1) / 2;
+    g = (g * 5) % (2 * n);
   }
 }
 
 Plaintext CkksEncoder::encode(std::span<const std::complex<double>> values,
                               std::size_t level, double scale) const {
   const std::size_t n = ctx_->degree();
-  const std::size_t num_slots = n / 2;
-  const std::size_t two_n = 2 * n;
-  if (values.size() > num_slots) {
+  if (values.size() > n / 2) {
     throw std::invalid_argument("CkksEncoder::encode: too many values");
   }
-  if (scale <= 0) throw std::invalid_argument("CkksEncoder::encode: scale must be positive");
+  if (!(scale > 0)) throw std::invalid_argument("CkksEncoder::encode: scale must be positive");
 
-  // Inverse embedding: m_k = (2/N) * sum_j Re(z_j * conj(zeta_j^k)).
-  std::vector<double> m(n, 0.0);
+  // m_k = (2/N) sum_j Re(conj(z_j) zeta_j^k) = Re(zeta^k A_k) / N, where A is
+  // the FFT of conj(z_j) at idx[j] and z_j at the conjugate point N-1-idx[j].
+  std::vector<std::complex<double>> a(n);
   for (std::size_t j = 0; j < values.size(); ++j) {
-    const std::complex<double> z = values[j];
-    if (z == std::complex<double>{0.0, 0.0}) continue;
-    const std::size_t sigma = rot_group_[j];
-    for (std::size_t k = 0; k < n; ++k) {
-      // conj(zeta_j^k) = conj(omega^(sigma*k)) = omega^(2N - sigma*k mod 2N)
-      const std::size_t t = (sigma * k) % two_n;
-      const std::complex<double>& w = omega_powers_[t];
-      m[k] += z.real() * w.real() + z.imag() * w.imag();  // Re(z * conj(w))
-    }
+    a[slot_index_[j]] = std::conj(values[j]);
+    a[n - 1 - slot_index_[j]] = values[j];
   }
-  const double norm = 2.0 / static_cast<double>(n);
+  fft(a, twist_);
+  const double norm = scale / static_cast<double>(n);
 
   RnsPoly poly(n, ctx_->basis_at(level));
   const auto& moduli = poly.moduli();
   for (std::size_t k = 0; k < n; ++k) {
-    const double scaled = m[k] * norm * scale;
-    if (std::abs(scaled) >= 0x1.0p62) {
-      throw std::invalid_argument("CkksEncoder::encode: scaled coefficient exceeds 2^62");
+    const double m = a[k].real() * twist_[k].real() - a[k].imag() * twist_[k].imag();
+    const double scaled = m * norm;
+    // Also rejects NaN and infinity, which would make llround unspecified.
+    if (!(std::abs(scaled) < 0x1.0p62)) {
+      throw std::invalid_argument(
+          "CkksEncoder::encode: scaled coefficient is not finite or exceeds 2^62");
     }
     const i64 rounded = std::llround(scaled);
     for (std::size_t c = 0; c < moduli.size(); ++c) {
@@ -82,16 +106,16 @@ Plaintext CkksEncoder::encode_scalar(std::complex<double> value, std::size_t lev
 Plaintext CkksEncoder::encode_constant(std::complex<double> value, std::size_t level,
                                        double scale) const {
   const std::size_t n = ctx_->degree();
-  if (scale <= 0) throw std::invalid_argument("encode_constant: scale must be positive");
+  if (!(scale > 0)) throw std::invalid_argument("encode_constant: scale must be positive");
   // Scaled constants can exceed 64 bits (e.g. a constant added at scale
   // Delta^2 during polynomial evaluation); form them in 128-bit and reduce
   // per channel. long double keeps ~64 mantissa bits, so the rounding error
   // is below 2^-60 relative — far under the CKKS noise floor.
   const long double re = static_cast<long double>(value.real()) * scale;
   const long double im = static_cast<long double>(value.imag()) * scale;
-  if (std::abs(static_cast<double>(re)) >= 0x1.0p120 ||
-      std::abs(static_cast<double>(im)) >= 0x1.0p120) {
-    throw std::invalid_argument("encode_constant: scaled value exceeds 2^120");
+  // Also rejects NaN and infinity, whose conversion to i128 is undefined.
+  if (!(std::abs(re) < 0x1.0p120L) || !(std::abs(im) < 0x1.0p120L)) {
+    throw std::invalid_argument("encode_constant: scaled value is not finite or exceeds 2^120");
   }
   const i128 re_r = static_cast<i128>(re);
   const i128 im_r = static_cast<i128>(im);
@@ -114,20 +138,14 @@ Plaintext CkksEncoder::encode_constant(std::complex<double> value, std::size_t l
 std::vector<std::complex<double>> CkksEncoder::decode_centered(
     std::span<const double> centered_coeffs, double scale) const {
   const std::size_t n = ctx_->degree();
-  const std::size_t num_slots = n / 2;
-  const std::size_t two_n = 2 * n;
   if (centered_coeffs.size() != n) {
     throw std::invalid_argument("CkksEncoder::decode_centered: size mismatch");
   }
-  std::vector<std::complex<double>> out(num_slots);
-  for (std::size_t j = 0; j < num_slots; ++j) {
-    const std::size_t sigma = rot_group_[j];
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t k = 0; k < n; ++k) {
-      acc += centered_coeffs[k] * omega_powers_[(sigma * k) % two_n];
-    }
-    out[j] = acc / scale;
-  }
+  std::vector<std::complex<double>> a(n);
+  for (std::size_t k = 0; k < n; ++k) a[k] = centered_coeffs[k] * twist_[k];
+  fft(a, twist_);
+  std::vector<std::complex<double>> out(n / 2);
+  for (std::size_t j = 0; j < n / 2; ++j) out[j] = a[slot_index_[j]] / scale;
   return out;
 }
 

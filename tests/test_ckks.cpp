@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <complex>
+#include <iostream>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
@@ -113,6 +116,118 @@ TEST(CkksEncoder, RejectsBadArguments) {
   std::vector<Complex> ok(4);
   EXPECT_THROW(f.encoder->encode(std::span<const Complex>(ok), 2, -1.0),
                std::invalid_argument);
+
+  // NaN passes `<= 0` and `>= 2^62` tests alike; it must not reach llround.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(f.encoder->encode(std::span<const Complex>(ok), 2, nan),
+               std::invalid_argument);
+  const std::vector<Complex> nan_value = {{0.5, 0.0}, {nan, 0.0}};
+  EXPECT_THROW(f.encoder->encode(std::span<const Complex>(nan_value), 2, 1024.0),
+               std::invalid_argument);
+  const std::vector<Complex> inf_value = {{0.0, inf}};
+  EXPECT_THROW(f.encoder->encode(std::span<const Complex>(inf_value), 2, 1024.0),
+               std::invalid_argument);
+  EXPECT_THROW(f.encoder->encode_constant({0.5, 0.0}, 2, nan), std::invalid_argument);
+  EXPECT_THROW(f.encoder->encode_constant({nan, 0.0}, 2, 1024.0), std::invalid_argument);
+  EXPECT_THROW(f.encoder->encode_constant({0.0, inf}, 2, 1024.0), std::invalid_argument);
+}
+
+// The dense O(N*slots) canonical embedding, kept here as the reference for
+// the FFT encoder: slot j is evaluated at zeta_j = omega^(5^j mod 2N) with
+// omega = exp(i*pi/N).
+class ReferenceEmbedding {
+ public:
+  explicit ReferenceEmbedding(std::size_t n) : n_(n), omega_powers_(2 * n), rot_group_(n / 2) {
+    for (std::size_t t = 0; t < 2 * n; ++t) {
+      const double angle = M_PI * static_cast<double>(t) / static_cast<double>(n);
+      omega_powers_[t] = {std::cos(angle), std::sin(angle)};
+    }
+    std::size_t g = 1;
+    for (std::size_t j = 0; j < n / 2; ++j) {
+      rot_group_[j] = g;
+      g = (g * 5) % (2 * n);
+    }
+  }
+
+  // round(scale * m_k) with m_k = (2/N) * sum_j Re(z_j * conj(zeta_j^k)).
+  std::vector<i64> encode(std::span<const Complex> values, double scale) const {
+    std::vector<double> m(n_, 0.0);
+    for (std::size_t j = 0; j < values.size(); ++j) {
+      const Complex z = values[j];
+      if (z == Complex{0.0, 0.0}) continue;
+      const std::size_t sigma = rot_group_[j];
+      for (std::size_t k = 0; k < n_; ++k) {
+        const Complex& w = omega_powers_[(sigma * k) % (2 * n_)];
+        m[k] += z.real() * w.real() + z.imag() * w.imag();
+      }
+    }
+    const double norm = 2.0 / static_cast<double>(n_);
+    std::vector<i64> rounded(n_);
+    for (std::size_t k = 0; k < n_; ++k) rounded[k] = std::llround(m[k] * norm * scale);
+    return rounded;
+  }
+
+  std::vector<Complex> decode(std::span<const double> coeffs, double scale) const {
+    std::vector<Complex> out(n_ / 2);
+    for (std::size_t j = 0; j < n_ / 2; ++j) {
+      const std::size_t sigma = rot_group_[j];
+      Complex acc{0.0, 0.0};
+      for (std::size_t k = 0; k < n_; ++k) acc += coeffs[k] * omega_powers_[(sigma * k) % (2 * n_)];
+      out[j] = acc / scale;
+    }
+    return out;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<Complex> omega_powers_;  // omega^t, t in [0, 2N)
+  std::vector<std::size_t> rot_group_;  // 5^j mod 2N, j in [0, N/2)
+};
+
+TEST(CkksEncoder, FftMatchesReferenceEmbedding) {
+  for (std::size_t n : {16u, 1024u, 8192u}) {
+    const auto ctx = std::make_shared<CkksContext>(CkksParams::toy(n, 2, 1));
+    const CkksEncoder encoder(ctx);
+    const ReferenceEmbedding ref(n);
+    const std::size_t slots = n / 2;
+    const double scale = ctx->params().scale();
+
+    std::vector<Complex> real_only = random_message(slots, n + 2);
+    for (Complex& v : real_only) v = v.real();
+    std::vector<Complex> single(slots);
+    single[slots / 3] = {0.75, -0.5};
+    const std::vector<std::pair<const char*, std::vector<Complex>>> cases = {
+        {"full", random_message(slots, n)},
+        {"partial", random_message(slots / 2 + 1, n + 1)},
+        {"real", real_only},
+        {"single", single}};
+
+    for (const auto& [name, z] : cases) {
+      SCOPED_TRACE(testing::Message() << "N=" << n << " case=" << name);
+      const Plaintext pt = encoder.encode(std::span<const Complex>(z), 2, scale);
+      RnsPoly coeff = pt.poly;
+      coeff.to_coeff();
+      const std::vector<double> got = to_centered_doubles(coeff);
+      const std::vector<i64> want = ref.encode(std::span<const Complex>(z), scale);
+      std::size_t differing = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double diff = got[k] - static_cast<double>(want[k]);
+        EXPECT_LE(std::abs(diff), 1.0) << "k=" << k;
+        if (diff != 0) ++differing;
+      }
+      std::cout << "[ info     ] N=" << n << " " << name << ": " << differing << " of " << n
+                << " rounded coefficients differ from the reference\n";
+
+      EXPECT_LT(max_error(encoder.decode_centered(got, scale), ref.decode(got, scale)), 1e-9);
+
+      std::vector<Complex> padded = z;
+      padded.resize(slots);
+      const std::vector<double> want_coeffs(want.begin(), want.end());
+      const double ref_round_trip = max_error(padded, ref.decode(want_coeffs, scale));
+      EXPECT_LE(max_error(padded, encoder.decode(pt)), ref_round_trip + 1e-12);
+    }
+  }
 }
 
 TEST(Ckks, EncryptDecryptRoundTrip) {

@@ -53,6 +53,22 @@ TEST(EncodeConstant, MatchesFullEncode) {
     for (const Complex& slot : decoded) {
       EXPECT_LT(std::abs(slot - value), 1e-8) << value;
     }
+
+    // Same polynomial as the full encoder's broadcast, residue by residue;
+    // encode_constant truncates where encode rounds, hence the +-1.
+    const Plaintext full = f.encoder->encode_scalar(value, 3, f.ctx->params().scale());
+    RnsPoly fast_coeff = fast.poly;
+    RnsPoly full_coeff = full.poly;
+    fast_coeff.to_coeff();
+    full_coeff.to_coeff();
+    for (std::size_t c = 0; c < fast_coeff.num_channels(); ++c) {
+      const u64 q = fast_coeff.moduli()[c];
+      for (std::size_t k = 0; k < fast_coeff.degree(); ++k) {
+        const u64 d = (full_coeff.channel(c)[k] + q - fast_coeff.channel(c)[k]) % q;
+        EXPECT_TRUE(d == 0 || d == 1 || d == q - 1)
+            << value << " channel " << c << " coefficient " << k;
+      }
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <complex>
 #include <memory>
 #include <span>
 #include <thread>
@@ -365,6 +366,51 @@ TEST(PooledKeyswitch, HoistedRotationsBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_TRUE(seq[i].c0 == par[i].c0) << i;
     EXPECT_TRUE(seq[i].c1 == par[i].c1) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One const CkksEncoder shared by pool workers. Every call must work in its
+// own scratch buffer: a shared mutable one races (TSan) and corrupts results.
+
+TEST(CkksEncoderConcurrency, SharedEncoderAcrossPoolWorkers) {
+  const auto ctx = std::make_shared<ckks::CkksContext>(ckks::CkksParams::toy(1024, 2, 1));
+  const ckks::CkksEncoder encoder(ctx);
+  const double scale = ctx->params().scale();
+  constexpr std::size_t kJobs = 16;
+  std::vector<std::vector<std::complex<double>>> inputs(kJobs);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    Rng rng(100 + i);
+    inputs[i].resize(encoder.slots());
+    for (auto& v : inputs[i]) v = {rng.uniform_real() - 0.5, rng.uniform_real() - 0.5};
+  }
+
+  struct Result {
+    RnsPoly poly;
+    std::vector<std::complex<double>> slots;
+  };
+  auto run = [&](std::size_t i) {
+    ckks::Plaintext pt =
+        encoder.encode(std::span<const std::complex<double>>(inputs[i]), 2, scale);
+    std::vector<std::complex<double>> slots = encoder.decode(pt);
+    return Result{std::move(pt.poly), std::move(slots)};
+  };
+
+  std::vector<Result> seq(kJobs);
+  {
+    ScopedThreads guard(1);
+    for (std::size_t i = 0; i < kJobs; ++i) seq[i] = run(i);
+  }
+  std::vector<Result> par(kJobs);
+  {
+    ScopedThreads guard(4);
+    parallel_for(kJobs, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) par[i] = run(i);
+    });
+  }
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    EXPECT_TRUE(par[i].poly == seq[i].poly) << "job " << i;
+    EXPECT_TRUE(par[i].slots == seq[i].slots) << "job " << i;
   }
 }
 
