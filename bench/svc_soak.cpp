@@ -235,7 +235,8 @@ bool run_soak(std::size_t workers, const std::vector<GraphPtr>& graphs,
   out.circuit_open = reg.counter(svc::metrics::kRejected, {{"reason", "circuit_open"}});
   out.retries = reg.counter(svc::metrics::kRetries);
   out.resumed = reg.counter(svc::metrics::kResumed);
-  out.p99_ms = reg.gauge(svc::metrics::kLatencyUs, {{"p", "99"}}) / 1000.0;
+  out.p99_ms =
+      reg.gauge(std::string(svc::metrics::kLatencyTotalUs) + ".p99") / 1000.0;
   out.throughput = static_cast<double>(kJobs - out.shed) * 1000.0 / out.wall_ms;
   out.reg = reg;
 

@@ -93,8 +93,8 @@ int usage() {
                "               bit-identical\n"
                "  --trace-out PATH  write the spans.v1 trace document\n"
                "  --timeline-out PATH  write a Chrome trace (Perfetto) with\n"
-               "               job lifecycle slices, span tracks and per-job\n"
-               "               queue->run flow arrows\n"
+               "               the span tracks and per-job queue->attempt\n"
+               "               flow arrows\n"
                "  --trace-detail  span volume from the simulator engines:\n"
                "               lifecycle (none), phases (per level; default),\n"
                "               ops (every scheduled meta-op)\n");
@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
     opts.trace = &trace_sink;
     opts.trace_detail = trace_detail;
     opts.log = &event_log;
-    if (!timeline_out.empty()) opts.timeline = &timeline;
   }
   svc::JobRunner runner(opts);
 
@@ -336,11 +335,12 @@ int main(int argc, char** argv) {
   std::printf("  wall               %.2f ms\n", wall_ms);
   std::printf("  throughput         %.0f jobs/s\n",
               static_cast<double>(submitted) * 1000.0 / wall_ms);
+  const std::string total_us = svc::metrics::kLatencyTotalUs;
   std::printf("  latency p50/p99    %.2f / %.2f ms\n",
-              reg.gauge(svc::metrics::kLatencyUs, {{"p", "50"}}) / 1000.0,
-              reg.gauge(svc::metrics::kLatencyUs, {{"p", "99"}}) / 1000.0);
+              reg.gauge(total_us + ".p50") / 1000.0,
+              reg.gauge(total_us + ".p99") / 1000.0);
   for (const auto& [key, hist] : reg.histograms()) {
-    if (key.rfind(std::string(svc::metrics::kLatencyTotalUs) + "{class=", 0) == 0 &&
+    if (key.rfind(total_us + "{class=", 0) == 0 &&
         hist.count() > 0) {
       std::printf("  %-32s p50/p95/p99  %.2f / %.2f / %.2f ms  (n=%llu)\n",
                   key.c_str(), hist.percentile(50.0) / 1000.0,
@@ -418,11 +418,10 @@ int main(int argc, char** argv) {
     }
     if (slowest != nullptr) {
       std::printf("  slowest trace      0x%016llx  queue %.2f ms, run %.2f ms "
-                  "(backoff %.2f, sim %.2f), %zu attempt(s), %llu ckpt bytes\n",
+                  "(backoff %.2f, sim %.2f), %zu attempt(s)\n",
                   static_cast<unsigned long long>(slow.trace_id),
                   slow.queue_us / 1000.0, slow.run_us / 1000.0,
-                  slow.backoff_us / 1000.0, slow.sim_us / 1000.0, slow.attempts,
-                  static_cast<unsigned long long>(slow.checkpoint_bytes));
+                  slow.backoff_us / 1000.0, slow.sim_us / 1000.0, slow.attempts);
     }
   }
   if (!trace_out.empty()) {

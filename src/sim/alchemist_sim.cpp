@@ -53,26 +53,13 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   const arch::ArchConfig cfg = fault ? fault->degraded(config) : config;
   const auto levels = asap_levels(graph);
 
-  // The checkpoint cursor is the number of completed levels; everything else
-  // is recomputed, so a resumed run restarts the fault RNG at its seed.
-  RunControl run(control, kLevelEngine, graph.name, graph.ops.size(),
-                 sim_fingerprint(config, fault));
-  std::uint64_t levels_done = 0;
-  if (const Checkpoint* cp = run.resume()) {
-    if (cp->state.size() != sizeof(std::uint64_t)) {
-      throw CheckpointError("level engine: checkpoint state is not a level cursor");
-    }
-    levels_done = BinaryReader(cp->state).read_u64();
-    if (levels_done > levels.size()) {
-      throw CheckpointError("level engine: checkpoint step past end of schedule");
-    }
-    if (fault) fault->reset();
+  // A step is one level. A resumed run re-runs the cost pass from the
+  // fault seed and folds the completed levels silently.
+  RunControl run(control, kLevelEngine, graph, config, fault);
+  const std::uint64_t levels_done = run.resume_step();
+  if (levels_done > levels.size()) {
+    throw CheckpointError("level engine: checkpoint step past end of schedule");
   }
-  auto cursor_state = [](std::uint64_t done) {
-    BinaryWriter w;
-    w.write_u64(done);
-    return w.buffer();
-  };
 
   // Walking the levels in order costs the ops — and samples their faults — in
   // ASAP-level order.
@@ -244,12 +231,10 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   for (std::size_t l = levels_done; l < levels.size(); ++l) {
     if (const StopReason why = run.poll(); why != StopReason::None) {
       flush_chain();
-      run.stop(why, l, static_cast<double>(total_cycles), cursor_state(l));
+      run.stop(why, static_cast<double>(total_cycles));
     }
     run_level(l, /*folded=*/false);
-    if (run.step_done()) {
-      run.checkpoint(l + 1, static_cast<double>(total_cycles), cursor_state(l + 1));
-    }
+    if (run.step_done()) run.checkpoint(static_cast<double>(total_cycles));
   }
 
   // Key material is prefetched with double buffering across the whole graph

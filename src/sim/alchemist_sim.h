@@ -37,12 +37,13 @@
 // A model with zero rates, no mask and a non-DMR policy — or no model at all
 // — leaves the results bit-identical to the fault-free simulator.
 //
-// Checkpoints carry only the cursor: the number of completed levels. A
-// resumed run restarts the fault RNG at its seed (the model must be in its
-// seed state), re-runs the cost pass over every op, and folds the completed
-// levels silently — their arithmetic and both profilers run, but they emit no
-// timeline events, no spans and no steps. Its SimResult, utilization.v1 and
-// memory.v1 are bit-identical to an uninterrupted run's.
+// Checkpoints are a step count (sim/checkpoint.h): the number of completed
+// levels. A resumed run restarts the fault RNG at its seed, re-runs the cost
+// pass over every op, and folds the completed levels silently — their
+// arithmetic and both profilers run, but they emit no timeline events, no
+// spans and no steps. Its SimResult, utilization.v1 and memory.v1 are
+// bit-identical to an uninterrupted run's. The event engine resumes the same
+// way.
 #pragma once
 
 #include "arch/config.h"

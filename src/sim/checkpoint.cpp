@@ -2,15 +2,16 @@
 
 #include <algorithm>
 
+#include "common/serdes.h"
+
 namespace alchemist::sim {
 
 namespace {
 
 constexpr std::uint64_t kMagic = 0x414c'4348'434b'5031ull;  // "ALCHCKP1"
-// v3: the level-engine state is its cursor alone (completed levels); v2
-// blobs carried accumulators and a profiler frame, so v1/v2 streams are
-// rejected rather than misparsed.
-constexpr std::uint64_t kVersion = 3;
+// v4: the step count is the whole cursor. v1-v3 streams carried an
+// engine-specific state blob after it and are rejected rather than misparsed.
+constexpr std::uint64_t kVersion = 4;
 
 }  // namespace
 
@@ -23,7 +24,6 @@ std::vector<std::uint8_t> Checkpoint::serialize() const {
   w.write_u64(op_count);
   w.write_u64(fingerprint);
   w.write_u64(step);
-  w.write_bytes(state);
   w.write_u64(w.checksum_since(0));
   return w.buffer();
 }
@@ -39,7 +39,6 @@ Checkpoint Checkpoint::deserialize(const std::vector<std::uint8_t>& bytes) {
     cp.op_count = r.read_u64();
     cp.fingerprint = r.read_u64();
     cp.step = r.read_u64();
-    cp.state = r.read_bytes();
     // The footer digests every byte before itself; recompute over the bytes
     // consumed so far, then read the stored value.
     const std::uint64_t actual = r.checksum_since(0);

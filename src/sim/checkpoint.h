@@ -1,18 +1,17 @@
-// Simulation checkpoints: the resumable cursor of an interrupted run.
+// Simulation checkpoints: how far an interrupted run got.
 //
-// A Checkpoint captures everything an engine needs to continue a simulation
-// from a step boundary: which engine produced it, which workload/graph it
-// belongs to, a fingerprint of the machine + fault configuration (resuming on
-// a different geometry would silently produce garbage, so it is a typed
-// error), the number of completed steps, and an engine-specific cursor blob.
-// Everything an engine can recompute — per-op costs, fault draws, profiler
-// feeds — is recomputed on resume, so the blob holds only the cursor: the
-// level engine's is its completed-level count (one u64); the event engine's
-// is its clock, integrals and per-op remaining work and ready set.
+// Both engines advance in steps (sim/sim_control.h) and both resume the same
+// way: everything — per-op costs, fault draws, the schedule itself — is
+// recomputed from the graph and the seed, and the completed steps are
+// replayed silently. So a Checkpoint is a step count plus the guards that
+// make replaying it meaningful: which engine produced it, which workload/graph
+// it belongs to, and a fingerprint of the machine + fault configuration
+// (resuming on a different geometry would silently produce garbage, so it is
+// a typed error). Every checkpoint has the same size.
 //
 // Serialization goes through the hardened common/serdes layer: magic +
-// version header, length-capped strings/blobs, and an FNV-1a integrity footer
-// — a truncated or bit-flipped checkpoint fails with CheckpointError, never
+// version header, length-capped strings, and an FNV-1a integrity footer — a
+// truncated or bit-flipped checkpoint fails with CheckpointError, never
 // resumes wrong.
 #pragma once
 
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "arch/config.h"
-#include "common/serdes.h"
 #include "fault/fault_model.h"
 
 namespace alchemist::sim {
@@ -44,7 +42,6 @@ struct Checkpoint {
   std::uint64_t op_count = 0;     // graph size guard
   std::uint64_t fingerprint = 0;  // sim_fingerprint() of config + fault model
   std::uint64_t step = 0;         // steps completed at the snapshot
-  std::vector<std::uint8_t> state;  // engine-specific cursor
 
   bool valid() const { return !engine.empty(); }
   void clear() { *this = Checkpoint{}; }

@@ -34,8 +34,6 @@ struct OpState {
   std::uint64_t retry_cycles = 0;
   std::size_t unmet_deps = 0;
   std::vector<std::size_t> dependents;
-  bool running = false;
-  bool done = false;
   // Telemetry and memory-profiler timestamps (never read by the accounting).
   double start_time = 0;
   double compute_done_time = 0;
@@ -67,16 +65,9 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   fault::FaultModel* fault = fault_model && fault_model->enabled() ? fault_model : nullptr;
   const arch::ArchConfig cfg = fault ? fault->degraded(config) : config;
 
-  // Only the event-loop cursor lives in the checkpoint; the per-op costs are
-  // recomputed, so a resumed run restarts the fault RNG at its seed.
-  RunControl run(control, kEventEngine, graph.name, graph.ops.size(),
-                 sim_fingerprint(config, fault));
-  if (run.resume()) {
-    if (fault) fault->reset();
-    // Cycles before the resume point were accounted by the interrupted
-    // process; per-unit attribution cannot be reconstructed.
-    profiler = nullptr;
-  }
+  // A step is one completion interval. A resumed run re-runs the cost pass
+  // from the fault seed and replays the completed intervals silently.
+  RunControl run(control, kEventEngine, graph, config, fault);
   std::vector<ClassTrackRows> rows = begin_trace(timeline, "alchemist-sim(event)");
 
   const double cores = static_cast<double>(cfg.total_cores());
@@ -132,10 +123,7 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
 
   std::vector<std::size_t> running;
   for (std::size_t i = 0; i < state.size(); ++i) {
-    if (state[i].unmet_deps == 0) {
-      state[i].running = true;
-      running.push_back(i);
-    }
+    if (state[i].unmet_deps == 0) running.push_back(i);
   }
 
   if (profiler) profiler->begin(cfg.num_units, cfg.cores_per_unit, nullptr);
@@ -147,64 +135,12 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   std::array<double, kNumOpClasses> class_active{};  // per-class busy wall
   std::size_t completed = 0;
 
-  if (const Checkpoint* cp = run.resume()) {
-    BinaryReader r(cp->state);
-    now = r.read_double();
-    busy_integral = r.read_double();
-    stall_integral = r.read_double();
-    for (double& c : class_active) c = r.read_double();
-    completed = static_cast<std::size_t>(r.read_u64());
-    const std::vector<std::uint64_t> run_ids = r.read_u64_vector();
-    const std::uint64_t n_ops = r.read_u64();
-    if (n_ops != state.size() || completed > state.size()) {
-      throw CheckpointError("event engine: per-op state size mismatch");
-    }
-    for (OpState& s : state) {
-      s.work = r.read_double();
-      s.busy_lanes = r.read_double();
-      s.start_time = r.read_double();
-      s.compute_done_time = r.read_double();
-      s.unmet_deps = static_cast<std::size_t>(r.read_u64());
-      const std::uint8_t flags = r.read_u8();
-      s.running = (flags & 1u) != 0;
-      s.done = (flags & 2u) != 0;
-    }
-    running.clear();
-    for (std::uint64_t id : run_ids) {
-      if (id >= state.size()) {
-        throw CheckpointError("event engine: ready-set index out of range");
-      }
-      running.push_back(static_cast<std::size_t>(id));
-    }
-  }
-  run.start(now);
-  const bool op_spans = run.traces(obs::TraceDetail::Ops);
-
-  auto cursor_state = [&]() {
-    BinaryWriter w;
-    w.write_double(now);
-    w.write_double(busy_integral);
-    w.write_double(stall_integral);
-    for (double c : class_active) w.write_double(c);
-    w.write_u64(completed);
-    std::vector<std::uint64_t> run_ids(running.begin(), running.end());
-    w.write_u64_vector(run_ids);
-    w.write_u64(state.size());
-    for (const OpState& s : state) {
-      w.write_double(s.work);
-      w.write_double(s.busy_lanes);
-      w.write_double(s.start_time);
-      w.write_double(s.compute_done_time);
-      w.write_u64(s.unmet_deps);
-      w.write_u8(static_cast<std::uint8_t>((s.running ? 1u : 0u) | (s.done ? 2u : 0u)));
-    }
-    return w.buffer();
-  };
-
-  while (!running.empty()) {
-    if (const StopReason why = run.poll(); why != StopReason::None) {
-      run.stop(why, completed, now, cursor_state());
-    }
+  // One completion interval. A replayed interval (before the resume cursor)
+  // runs its arithmetic and the UnitProfiler but emits no timeline events and
+  // no spans.
+  auto interval = [&](bool replay) {
+    obs::Timeline* tl = replay ? nullptr : timeline;
+    const bool op_spans = !replay && run.traces(obs::TraceDetail::Ops);
     // Work-conserving equal share of the cores among live compute demands.
     std::size_t compute_live = 0;
     for (std::size_t idx : running) compute_live += state[idx].work > 0 ? 1 : 0;
@@ -256,10 +192,9 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
         if (s.work == 0) s.compute_done_time = now;
       }
       if (s.work == 0 && now + 1e-9 >= s.hbm_ready) {
-        s.done = true;
         ++completed;
         const HighOp& op = graph.ops[idx];
-        if (timeline) {
+        if (tl) {
           obs::TraceEvent ev;
           ev.name = op_label(op, idx);
           ev.cat = class_tag(s.cls);
@@ -274,9 +209,9 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
                std::max(0.0, now - std::max(s.compute_done_time, s.start_time))},
               {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
           };
-          timeline->record(std::move(ev));
+          tl->record(std::move(ev));
           if (s.faults.total() > 0) {
-            record_fault(*timeline, op, idx, s.faults,
+            record_fault(*tl, op, idx, s.faults,
                          static_cast<double>(s.retry_cycles), s.start_time,
                          now - s.start_time);
           }
@@ -290,7 +225,6 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
         }
         for (std::size_t dep : s.dependents) {
           if (--state[dep].unmet_deps == 0) {
-            state[dep].running = true;
             state[dep].start_time = now;
             still_running.push_back(dep);
           }
@@ -304,7 +238,19 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
                        compute_live > 0);
     }
     running = std::move(still_running);
-    if (run.step_done()) run.checkpoint(completed, now, cursor_state());
+  };
+
+  for (std::uint64_t i = 0; i < run.resume_step(); ++i) {
+    if (running.empty()) {
+      throw CheckpointError("event engine: checkpoint step past end of schedule");
+    }
+    interval(/*replay=*/true);
+  }
+  run.start(now);
+  while (!running.empty()) {
+    if (const StopReason why = run.poll(); why != StopReason::None) run.stop(why, now);
+    interval(/*replay=*/false);
+    if (run.step_done()) run.checkpoint(now);
   }
   if (completed != graph.ops.size()) {
     throw std::logic_error("event sim: dependency cycle or unreachable ops");
@@ -335,8 +281,8 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   result.finalize();
   if (profiler) profiler->finish(total_cycles, result.profile);
   if (mem_profiler) {
-    // Feed in HBM prefetch order from per-op state the event loop (or a
-    // checkpoint resume) left behind: an op's working set is released when
+    // Feed in HBM prefetch order from per-op state the event loop left
+    // behind: an op's working set is released when
     // both its compute and its key streaming are done, which is exactly its
     // retirement condition above.
     for (std::size_t i = 0; i < graph.ops.size(); ++i) {

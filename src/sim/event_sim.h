@@ -22,13 +22,11 @@
 // MemProfiler is fed after the loop, in HBM prefetch order, with each op's
 // retirement time.
 //
-// The checkpoint cursor is the event clock, the integrals and each op's
-// remaining work and ready state; the costs are recomputed on resume, so a
-// resumed run's SimResult and memory.v1 are bit-identical to an uninterrupted
-// one. The one asymmetry with the level engine: the cursor does not hold the
-// interval history, so a resumed run cannot attribute the cycles before the
-// cut — the UnitProfiler is dropped on resume and the profile comes back
-// empty.
+// Checkpoints resume exactly as the level engine's do: the cursor is the
+// number of completed intervals, and a resumed run re-runs the cost pass and
+// replays those intervals silently — their arithmetic and the UnitProfiler
+// run, but they emit no op slices, no spans and no steps. Its SimResult,
+// utilization.v1 and memory.v1 are bit-identical to an uninterrupted run's.
 #pragma once
 
 #include "arch/config.h"

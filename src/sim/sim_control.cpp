@@ -9,13 +9,13 @@ constexpr std::size_t kSpanFlush = 4096;
 }  // namespace
 
 RunControl::RunControl(SimControl* control, const char* engine,
-                       const std::string& workload, std::uint64_t op_count,
-                       std::uint64_t fingerprint)
+                       const metaop::OpGraph& graph, const arch::ArchConfig& config,
+                       fault::FaultModel* fault)
     : control_(control),
       engine_(engine),
-      workload_(workload),
-      op_count_(op_count),
-      fingerprint_(fingerprint) {
+      workload_(graph.name),
+      op_count_(graph.ops.size()),
+      fingerprint_(sim_fingerprint(config, fault)) {
   if (control_ == nullptr) return;
   const bool reduced = control_->detail == SimDetail::Reduced;
   interval_ = control_->checkpoint != nullptr && !reduced
@@ -38,8 +38,8 @@ RunControl::RunControl(SimControl* control, const char* engine,
   if (cp->fingerprint != fingerprint_) {
     throw CheckpointError(who + "machine/fault configuration changed");
   }
-  resume_ = cp;
   resume_step_ = cp->step;
+  if (fault != nullptr) fault->reset();
 }
 
 StopReason RunControl::poll() const {
@@ -54,11 +54,10 @@ StopReason RunControl::poll() const {
   return StopReason::None;
 }
 
-void RunControl::stop(StopReason why, std::uint64_t cursor, double now,
-                      std::vector<std::uint8_t> state) {
-  checkpoint(cursor, now, std::move(state));
+void RunControl::stop(StopReason why, double now) {
+  checkpoint(now);
   finish(to_string(why), now);
-  throw CancelledError(why, cursor);
+  throw CancelledError(why, step());
 }
 
 bool RunControl::step_done() {
@@ -66,21 +65,17 @@ bool RunControl::step_done() {
   return interval_ != 0 && executed_ % interval_ == 0;
 }
 
-void RunControl::checkpoint(std::uint64_t cursor, double now,
-                            std::vector<std::uint8_t> state) {
+void RunControl::checkpoint(double now) {
   if (control_ == nullptr || control_->checkpoint == nullptr) return;
-  const double state_bytes = static_cast<double>(state.size());
   Checkpoint& cp = *control_->checkpoint;
   cp.engine = engine_;
   cp.workload = workload_;
   cp.op_count = op_count_;
   cp.fingerprint = fingerprint_;
-  cp.step = cursor;
-  cp.state = std::move(state);
+  cp.step = step();
   if (spans_on_) {
     span(obs::child_context(sim_ctx_, "checkpoint", checkpoints_++), "checkpoint",
-         "sim/checkpoint", now, 0,
-         {{"step", static_cast<double>(cursor)}, {"bytes", state_bytes}});
+         "sim/checkpoint", now, 0, {{"step", static_cast<double>(cp.step)}});
   }
 }
 

@@ -10,14 +10,16 @@
 //   * deadlines:     either a wall-clock deadline carried by the token or a
 //     deterministic per-call step budget (max_steps) — the latter is what the
 //     reproducible soak and the checkpoint tests use;
-//   * checkpointing: the engine snapshots its cursor into a sim::Checkpoint
+//   * checkpointing: a sim::Checkpoint of the completed step count is written
 //     every checkpoint_interval steps and always at the stop point, so an
 //     interrupted job can later resume instead of restarting.
 //
-// Engine-side, one RunControl per run owns all of it: checkpoint header
-// validation on resume, stop and step-budget polling, checkpoint writing, and
-// the engine's distributed-tracing spans (span buffer, checkpoint markers,
-// the terminal "sim" span). The engines only supply their cursor.
+// Engine-side, one RunControl per run owns all of it: checkpoint validation
+// and the fault-model reset on resume, stop and step-budget polling, the
+// step cursor and checkpoint writing, and the engine's distributed-tracing
+// spans (span buffer, checkpoint markers, the terminal "sim" span). An
+// engine asks it for resume_step(), replays that many steps silently, then
+// reports each executed step.
 //
 // A stopped run throws CancelledError after publishing the final checkpoint;
 // the SimResult of a resumed run is bit-identical to an uninterrupted one
@@ -32,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "metaop/op_graph.h"
 #include "obs/trace.h"
 #include "sim/checkpoint.h"
 
@@ -92,10 +95,10 @@ struct SimControl {
   // (0 = unlimited). Counts only steps actually executed, so a resumed run
   // gets a fresh budget.
   std::uint64_t max_steps = 0;
-  // Snapshot the cursor into `checkpoint` every k executed steps (0 = only at
-  // the stop point). Ignored when `checkpoint` is null.
+  // Snapshot the step count into `checkpoint` every k executed steps (0 =
+  // only at the stop point). Ignored when `checkpoint` is null.
   std::uint64_t checkpoint_interval = 0;
-  // In: a valid() checkpoint resumes the run from its cursor (engine,
+  // In: a valid() checkpoint resumes the run from its step (engine,
   // workload, geometry and fault fingerprints must match, else
   // CheckpointError). Out: overwritten with the latest snapshot.
   Checkpoint* checkpoint = nullptr;
@@ -113,7 +116,7 @@ struct SimControl {
   SimDetail detail = SimDetail::Full;
 };
 
-// A cooperative stop. The latest cursor has already been written to
+// A cooperative stop. The stop-point checkpoint has already been written to
 // control->checkpoint (when one was attached) by the time this is thrown.
 class CancelledError : public std::runtime_error {
  public:
@@ -147,26 +150,30 @@ class RunControl {
  public:
   using NumAttrs = std::vector<std::pair<std::string, double>>;
 
-  // Validates an incoming checkpoint against this run — engine, workload,
-  // op count and sim_fingerprint() — and throws CheckpointError on mismatch.
-  RunControl(SimControl* control, const char* engine, const std::string& workload,
-             std::uint64_t op_count, std::uint64_t fingerprint);
+  // Validates an incoming checkpoint against this run — engine, graph name
+  // and op count, sim_fingerprint(config, fault) — and throws CheckpointError
+  // on mismatch. Resuming restarts `fault` at its seed: the engine re-runs
+  // its cost pass, which redraws the interrupted run's transients.
+  RunControl(SimControl* control, const char* engine, const metaop::OpGraph& graph,
+             const arch::ArchConfig& config, fault::FaultModel* fault);
 
-  // The checkpoint this run resumes from, or null for a fresh run.
-  const Checkpoint* resume() const { return resume_; }
+  // Steps the resumed checkpoint had completed (0 for a fresh run). The
+  // engine replays them silently before start(); they do not count against
+  // max_steps.
+  std::uint64_t resume_step() const { return resume_step_; }
 
   // Marks where this call's own execution starts (the terminal span's ts).
   void start(double now) { start_ = now; }
 
   // Before each step: the reason to stop now, or StopReason::None.
   StopReason poll() const;
-  // Publishes the stop-point checkpoint (`state` is the engine cursor),
-  // records the terminal span and throws CancelledError(why, cursor).
-  [[noreturn]] void stop(StopReason why, std::uint64_t cursor, double now,
-                         std::vector<std::uint8_t> state);
+  // Publishes the stop-point checkpoint, records the terminal span and
+  // throws CancelledError(why, step).
+  [[noreturn]] void stop(StopReason why, double now);
   // After each executed step: true when an interval checkpoint is due.
   bool step_done();
-  void checkpoint(std::uint64_t cursor, double now, std::vector<std::uint8_t> state);
+  // Snapshots resume_step() + executed steps into control->checkpoint.
+  void checkpoint(double now);
   // Terminal span of a run that ran to completion; flushes buffered spans.
   void complete(double now) { finish("completed", now); }
 
@@ -182,12 +189,13 @@ class RunControl {
  private:
   void finish(const char* outcome, double now);
 
+  std::uint64_t step() const { return resume_step_ + executed_; }
+
   SimControl* control_;
   const char* engine_;
   std::string workload_;
   std::uint64_t op_count_;
   std::uint64_t fingerprint_;
-  const Checkpoint* resume_ = nullptr;
   std::uint64_t resume_step_ = 0;
   std::uint64_t interval_ = 0;
   std::uint64_t executed_ = 0;

@@ -45,7 +45,6 @@ inline constexpr const char* kRetries = "svc.retries";
 inline constexpr const char* kCheckpoints = "svc.checkpoints";
 inline constexpr const char* kResumed = "svc.resumed";
 inline constexpr const char* kQueueDepth = "svc.queue_depth";  // gauge + {stat=peak}
-inline constexpr const char* kLatencyUs = "svc.latency_us";    // gauge {p=50|99}
 inline constexpr const char* kWorkers = "svc.workers";         // gauge
 // Degraded completions (overload ladder ran the job at reduced detail).
 inline constexpr const char* kDegraded = "svc.degraded";
@@ -151,13 +150,14 @@ struct JobSpec {
 
   // Attach a UnitProfiler to every attempt: the completed result carries the
   // per-unit utilization.v1 profile (SimResult.profile). The simulated
-  // outcome is bit-identical either way; resumed runs come back unprofiled.
+  // outcome is bit-identical either way; a resumed run's profile matches an
+  // uninterrupted run's.
   bool profile = false;
 
   // Attach a MemProfiler to every attempt: the completed result carries the
   // memory.v1 attribution (SimResult.mem_profile) and the runner folds
   // sim.mem.* series into its snapshot/statusz. Bit-identical outcome either
-  // way; unlike `profile`, the memory profile survives checkpoint/resume.
+  // way; like `profile`, the memory profile survives checkpoint/resume.
   bool mem_profile = false;
 
   // Propagated trace context (obs/trace.h). Invalid (the default) means the
@@ -181,7 +181,6 @@ struct TraceSummary {
   double sim_us = 0;      // simulated time of the completed result (0 else)
   std::size_t attempts = 0;
   std::size_t retries = 0;           // attempts - 1 for jobs that ran
-  std::uint64_t checkpoint_bytes = 0;  // size of the last captured checkpoint
   bool degraded = false;  // ran at reduced detail under overload pressure
 };
 

@@ -1,7 +1,6 @@
 #include "svc/job_runner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,21 +15,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(v.size())));
-  rank = std::min(std::max<std::size_t>(rank, 1), v.size());
-  return v[rank - 1];
-}
-
-// Lifecycle-span track ids: submissions land on the admission track, each
-// worker gets its own run-span track.
-constexpr std::uint32_t kAdmissionTid = 0;
-constexpr std::uint32_t kWorkerTidBase = 1;
-
-// Which worker this thread is, for routing finish() spans; -1 off-pool
+// Which worker this thread is, for naming its span track; -1 off-pool
 // (destructor-orphaned jobs, rejected submissions).
 thread_local int tls_worker = -1;
 
@@ -52,7 +37,6 @@ std::string label_of(const JobSpec& spec, std::uint64_t seq) {
 
 JobRunner::JobRunner(RunnerOptions opts)
     : opts_(std::move(opts)),
-      epoch_(Clock::now()),
       queue_(opts_.queue_capacity),
       admission_(opts_.tenants),
       overload_(opts_.overload) {
@@ -61,15 +45,6 @@ JobRunner::JobRunner(RunnerOptions opts)
     throw std::invalid_argument("svc: queue_capacity must be >= 1");
   }
   paused_ = opts_.start_paused;
-  if (opts_.timeline != nullptr) {
-    opts_.timeline->set_process_name("alchemist-svc");
-    opts_.timeline->set_track_name(kAdmissionTid, "svc/jobs");
-    for (std::size_t i = 0; i < opts_.workers; ++i) {
-      opts_.timeline->set_track_name(
-          kWorkerTidBase + static_cast<std::uint32_t>(i),
-          "svc/worker" + std::to_string(i));
-    }
-  }
   workers_.reserve(opts_.workers);
   for (std::size_t i = 0; i < opts_.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -222,17 +197,6 @@ JobPtr JobRunner::submit(JobSpec spec) {
                  {{"reason", reason}, {"tenant", mtenant}});
       }
     }
-    if (opts_.timeline != nullptr) {
-      obs::TraceEvent ev;
-      ev.name = "submit " + label_of(job->spec_, job->seq_);
-      ev.cat = "svc";
-      ev.tid = kAdmissionTid;
-      ev.ts = ts_us(now);
-      ev.dur = 0;
-      ev.str_args = {{"outcome", reason == nullptr ? "admitted" : reason},
-                     {"class", job->spec_.workload_class}};
-      opts_.timeline->record(std::move(ev));
-    }
   }
   if (rejected != JobState::Queued) {
     {
@@ -328,8 +292,6 @@ obs::Registry JobRunner::snapshot() const {
     reg.set_gauge(metrics::kOverloadLevel,
                   static_cast<double>(static_cast<int>(overload_.level())));
   }
-  reg.set_gauge(metrics::kLatencyUs, percentile(latencies_us_, 50.0), {{"p", "50"}});
-  reg.set_gauge(metrics::kLatencyUs, percentile(latencies_us_, 99.0), {{"p", "99"}});
   // Percentile gauges derived from every latency histogram, named
   // `<name>.pNN[{tags}]` per the registry naming rules so the Prometheus
   // families stay distinct from the histograms themselves.
@@ -658,20 +620,6 @@ void JobRunner::run_job(const JobPtr& job, bool degraded) {
         s.num_attrs = {{"attempt", static_cast<double>(attempt)}};
         opts_.trace->record(std::move(s));
       }
-      if (opts_.timeline != nullptr) {
-        // Nests inside this job's run span on the worker's track.
-        std::lock_guard<std::mutex> lk(mu_);
-        obs::TraceEvent ev;
-        ev.name = "retry " + label_of(spec, job->seq_);
-        ev.cat = "svc.retry";
-        ev.tid = tls_worker >= 0
-                     ? kWorkerTidBase + static_cast<std::uint32_t>(tls_worker)
-                     : kAdmissionTid;
-        ev.ts = ts_us(backoff_start);
-        ev.dur = ts_us(Clock::now()) - ev.ts;
-        ev.num_args = {{"attempt", static_cast<double>(attempt)}};
-        opts_.timeline->record(std::move(ev));
-      }
       if (const sim::StopReason stop = job->token_.should_stop();
           stop != sim::StopReason::None) {
         finish(job,
@@ -745,7 +693,6 @@ void JobRunner::finish(const JobPtr& job, JobState state, std::string error,
   summary.sim_us = sim_us;
   summary.attempts = attempts;
   summary.retries = attempts > 1 ? attempts - 1 : 0;
-  summary.checkpoint_bytes = checkpoint.state.size();
   summary.degraded = job->degraded_;  // written by this worker in run_job()
 
   if (tracing) {
@@ -764,9 +711,7 @@ void JobRunner::finish(const JobPtr& job, JobState state, std::string error,
                {"state", svc::to_string(state)},
                {"engine", job->spec_.engine == Engine::Event ? "event" : "level"}};
     s.num_attrs = {{"seq", static_cast<double>(job->seq_)},
-                   {"attempts", static_cast<double>(attempts)},
-                   {"checkpoint_bytes",
-                    static_cast<double>(summary.checkpoint_bytes)}};
+                   {"attempts", static_cast<double>(attempts)}};
     opts_.trace->record(std::move(s));
   }
   if (opts_.log != nullptr) {
@@ -836,7 +781,6 @@ void JobRunner::record_terminal(const Job& job, JobState state,
   if (has_checkpoint) reg_.add(metrics::kCheckpoints, 1);
   const double total_us =
       std::chrono::duration<double, std::micro>(now - submit_time).count();
-  latencies_us_.push_back(total_us);
 
   // Latency histograms: wall-clock queue/run/total for every admitted job,
   // plus the deterministic simulated time of completed runs.
@@ -864,44 +808,6 @@ void JobRunner::record_terminal(const Job& job, JobState state,
   if (state == JobState::Completed) {
     reg_.observe(metrics::kLatencySimUs, sim_us);
     reg_.observe(metrics::kLatencySimUs, sim_us, {{"class", cls}});
-  }
-
-  if (opts_.timeline != nullptr && ran) {
-    const std::uint32_t tid =
-        tls_worker >= 0 ? kWorkerTidBase + static_cast<std::uint32_t>(tls_worker)
-                        : kAdmissionTid;
-    const double run_ts = ts_us(job.run_start_time_);
-    const double run_dur = ts_us(now) - run_ts;
-    obs::TraceEvent ev;
-    ev.name = "run " + label_of(job.spec_, job.seq_);
-    ev.cat = "svc.run";
-    ev.tid = tid;
-    ev.ts = run_ts;
-    ev.dur = run_dur;
-    ev.num_args = {{"queue_us", queue_us},
-                   {"attempts", static_cast<double>(attempts)},
-                   {"sim_us", sim_us}};
-    ev.str_args = {{"state", svc::to_string(state)},
-                   {"class", workload_class}};
-    opts_.timeline->record(std::move(ev));
-    if (job.trace_ctx_.valid()) {
-      // Flow arrow keyed by the trace id: submit instant on the admission
-      // track -> midpoint of the run slice on whichever worker ran the job,
-      // so Perfetto draws the queue -> run handoff.
-      obs::FlowEvent fs;
-      fs.name = "job";
-      fs.cat = "svc.flow";
-      fs.id = job.trace_ctx_.trace_id;
-      fs.tid = kAdmissionTid;
-      fs.ts = ts_us(job.submit_time_);
-      fs.phase = 's';
-      obs::FlowEvent ff = fs;
-      ff.tid = tid;
-      ff.ts = run_ts + run_dur * 0.5;
-      ff.phase = 'f';
-      opts_.timeline->record_flow(std::move(fs));
-      opts_.timeline->record_flow(std::move(ff));
-    }
   }
 
   const auto it = breakers_.find(breaker_key(tenant, workload_class));

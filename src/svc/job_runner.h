@@ -42,16 +42,13 @@
 //   subsequent submissions of that class until a cooldown + half-open probe
 //   (svc/circuit_breaker.h).
 // * Observability: svc.* counters and gauges (queue depth, terminal-state
-//   partition, p50/p99 latency) exported as an obs::Registry snapshot,
-//   together with the substrate.* counters of the shared compute pool.
-//   Admitted jobs additionally record svc.latency.{queue,run,total,sim}_us
-//   histograms (aggregate and per workload class); snapshots derive
-//   .p50/.p95/.p99 gauges from them. With RunnerOptions::timeline attached,
-//   the runner emits span-style lifecycle events — submit instants, per-job
-//   run spans with queue-wait/terminal-state args, nested retry-backoff
-//   spans — on one track per worker. status_json() is the machine-readable
-//   live view (/statusz): breaker states, queue occupancy, pool width,
-//   substrate.* activity.
+//   partition) exported as an obs::Registry snapshot, together with the
+//   substrate.* counters of the shared compute pool. Admitted jobs
+//   additionally record svc.latency.{queue,run,total,sim}_us histograms
+//   (aggregate and per workload class); snapshots derive .p50/.p95/.p99
+//   gauges from them. Job lifecycle spans go to RunnerOptions::trace.
+//   status_json() is the machine-readable live view (/statusz): breaker
+//   states, queue occupancy, pool width, substrate.* activity.
 // * Intra-job parallelism: functional kernels running inside a job fan out on
 //   the process-wide ThreadPool (common/thread_pool.h), which all workers
 //   share. Nested fan-outs run inline on their worker and callers lend their
@@ -75,7 +72,6 @@
 #include "common/backoff.h"
 #include "obs/log.h"
 #include "obs/registry.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "svc/admission.h"
 #include "svc/circuit_breaker.h"
@@ -105,12 +101,6 @@ struct RunnerOptions {
   // Start with workers parked (submissions queue up but nothing runs) until
   // set_paused(false) — deterministic queue-pressure tests rely on this.
   bool start_paused = false;
-  // Optional job-lifecycle span sink (submit -> run -> retry -> terminal),
-  // not owned; must outlive the runner. Timestamps are wall microseconds
-  // since runner construction. Access is serialized under the runner mutex.
-  // With a TraceSink also attached, the runner adds per-trace flow arrows
-  // (submit instant -> run slice) so Perfetto draws the queue->run handoff.
-  obs::Timeline* timeline = nullptr;
   // Distributed tracing (obs/trace.h): with a sink attached the runner mints
   // a TraceContext per submitted job (trace_seed ^ submission sequence, so
   // ids are reproducible across runs and worker counts) and records job /
@@ -156,8 +146,7 @@ class JobRunner {
   void set_paused(bool paused);
 
   // Point-in-time copy of the svc.* registry, including queue-depth gauges,
-  // p50/p99 latency over all terminal jobs so far, the latency histograms
-  // and their derived .p50/.p95/.p99 gauges.
+  // the latency histograms and their derived .p50/.p95/.p99 gauges.
   obs::Registry snapshot() const;
 
   // Live JSON for the /statusz introspection endpoint: worker-pool and queue
@@ -177,7 +166,7 @@ class JobRunner {
  private:
   void worker_loop(std::size_t worker_id);
   void run_job(const JobPtr& job, bool degraded);
-  // Terminal transition: updates the svc.* counters, latency record and
+  // Terminal transition: updates the svc.* counters, latency histograms and
   // workload-class breaker first, then publishes the state to the handle (so
   // a caller woken by Job::wait() always sees itself accounted).
   void finish(const JobPtr& job, JobState state, std::string error,
@@ -192,11 +181,6 @@ class JobRunner {
   // sim.mem.* series; caller holds mu_. Only ever called for mem-profiled
   // jobs, so an unprofiled deployment's snapshot stays byte-identical.
   void fold_mem_profile(const obs::MemoryProfile& m);
-  // Wall microseconds since runner construction (timeline timestamp base).
-  double ts_us(std::chrono::steady_clock::time_point t) const {
-    return std::chrono::duration<double, std::micro>(t - epoch_).count();
-  }
-
   // Breaker key: "class" untenanted, "tenant/class" otherwise.
   static std::string breaker_key(const std::string& tenant,
                                  const std::string& workload_class) {
@@ -215,9 +199,8 @@ class JobRunner {
       const std::string& tenant);
 
   RunnerOptions opts_;
-  std::chrono::steady_clock::time_point epoch_;
 
-  mutable std::mutex mu_;  // queue, breakers, admission, stats, flags, timeline
+  mutable std::mutex mu_;  // queue, breakers, admission, stats, flags
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   FairQueue queue_;
@@ -226,7 +209,6 @@ class JobRunner {
   std::vector<Job*> running_;  // jobs currently on a worker (for shutdown cancel)
   std::map<std::string, CircuitBreaker> breakers_;
   obs::Registry reg_;
-  std::vector<double> latencies_us_;
   std::size_t peak_depth_ = 0;
   std::uint64_t seq_ = 0;
   bool paused_ = false;

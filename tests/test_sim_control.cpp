@@ -7,6 +7,8 @@
 
 #include <chrono>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "arch/config.h"
 #include "common/serdes.h"
@@ -121,13 +123,7 @@ void check_resume_bit_identical(bool event, bool with_fault) {
     } catch (const sim::CancelledError& e) {
       ASSERT_EQ(e.reason(), sim::StopReason::StepBudget);
       ASSERT_TRUE(cp.valid());
-      // The level engine's cursor counts levels (== executed steps); the
-      // event engine's counts completed ops, which can run ahead of the
-      // iteration budget when one interval completes several ops.
-      ASSERT_GE(cp.step, event ? 1u : budget);
-      if (!event) {
-        ASSERT_EQ(cp.step, budget);
-      }
+      ASSERT_EQ(cp.step, budget);  // the cursor is the executed step count
     }
     // Resume with no budget: must land exactly on the reference.
     sim::SimControl resume;
@@ -153,46 +149,48 @@ TEST(SimControl, EventEngineResumeBitIdenticalWithFaults) {
 TEST(SimControl, ChainedResumesReachReference) {
   const metaop::OpGraph g = keyswitch_graph();
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  const sim::SimResult ref = sim::simulate_alchemist(g, cfg);
-
-  sim::Checkpoint cp;
-  sim::SimResult result;
-  bool done = false;
-  std::size_t legs = 0;
-  while (!done) {
-    sim::SimControl ctl;
-    ctl.max_steps = 2;  // fresh two-step budget per leg
-    ctl.checkpoint = &cp;
-    try {
-      result = sim::simulate_alchemist(g, cfg, nullptr, nullptr, &ctl);
-      done = true;
-    } catch (const sim::CancelledError&) {
-      ASSERT_TRUE(cp.valid());
+  for (bool event : {false, true}) {
+    const sim::SimResult ref = run_engine(event, g, cfg);
+    sim::Checkpoint cp;
+    sim::SimResult result;
+    bool done = false;
+    std::size_t legs = 0;
+    while (!done) {
+      sim::SimControl ctl;
+      ctl.max_steps = 2;  // fresh two-step budget per leg
+      ctl.checkpoint = &cp;
+      try {
+        result = run_engine(event, g, cfg, nullptr, &ctl);
+        done = true;
+      } catch (const sim::CancelledError&) {
+        ASSERT_TRUE(cp.valid());
+      }
+      ASSERT_LT(++legs, 100u) << "chained resume did not terminate";
     }
-    ASSERT_LT(++legs, 100u) << "chained resume did not terminate";
+    EXPECT_GT(legs, 1u) << "workload too small to exercise chained resume";
+    expect_same_result(result, ref);
   }
-  EXPECT_GT(legs, 1u) << "workload too small to exercise chained resume";
-  expect_same_result(result, ref);
 }
 
 TEST(SimControl, IntervalCheckpointResumes) {
   const metaop::OpGraph g = keyswitch_graph();
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  const sim::SimResult ref = sim::simulate_alchemist(g, cfg);
+  for (bool event : {false, true}) {
+    const sim::SimResult ref = run_engine(event, g, cfg);
+    // A completed run leaves its last interval snapshot behind; resuming
+    // from it replays every step and still matches the reference.
+    sim::Checkpoint cp;
+    sim::SimControl ctl;
+    ctl.checkpoint_interval = 1;
+    ctl.checkpoint = &cp;
+    expect_same_result(run_engine(event, g, cfg, nullptr, &ctl), ref);
+    ASSERT_TRUE(cp.valid());
+    EXPECT_GT(cp.step, 0u);
 
-  // A completed run leaves its last interval snapshot behind; resuming from
-  // it replays only the tail and still matches the reference.
-  sim::Checkpoint cp;
-  sim::SimControl ctl;
-  ctl.checkpoint_interval = 1;
-  ctl.checkpoint = &cp;
-  expect_same_result(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &ctl), ref);
-  ASSERT_TRUE(cp.valid());
-  EXPECT_GT(cp.step, 0u);
-
-  sim::SimControl resume;
-  resume.checkpoint = &cp;
-  expect_same_result(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume), ref);
+    sim::SimControl resume;
+    resume.checkpoint = &cp;
+    expect_same_result(run_engine(event, g, cfg, nullptr, &resume), ref);
+  }
 }
 
 TEST(Checkpoint, SerializeRoundtrip) {
@@ -213,7 +211,6 @@ TEST(Checkpoint, SerializeRoundtrip) {
   EXPECT_EQ(back.op_count, cp.op_count);
   EXPECT_EQ(back.fingerprint, cp.fingerprint);
   EXPECT_EQ(back.step, cp.step);
-  EXPECT_EQ(back.state, cp.state);
 
   // A deserialized checkpoint must actually resume.
   sim::Checkpoint resumable = back;
@@ -305,11 +302,29 @@ TEST(Checkpoint, RejectsMismatchedResume) {
   }
 }
 
-// Schema v3 shrank the level-engine state to its level cursor. A v2 level
-// checkpoint — accumulators, registry snapshot and an optional profiler frame
-// after the cursor — must fail with a typed error, never resume wrong: the
-// framed stream is refused by version, and a v2-shaped state blob that
-// reaches the engine in memory is refused by shape.
+// A checkpoint one step past the last one a completed run leaves behind is
+// past the end of the schedule on either engine.
+TEST(Checkpoint, RejectsStepPastEndOfSchedule) {
+  const metaop::OpGraph g = keyswitch_graph();
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  for (bool event : {false, true}) {
+    sim::Checkpoint cp;
+    sim::SimControl ctl;
+    ctl.checkpoint_interval = 1;
+    ctl.checkpoint = &cp;
+    run_engine(event, g, cfg, nullptr, &ctl);
+    ASSERT_TRUE(cp.valid());
+    ++cp.step;
+    sim::SimControl resume;
+    resume.checkpoint = &cp;
+    EXPECT_THROW(run_engine(event, g, cfg, nullptr, &resume), sim::CheckpointError)
+        << (event ? "event" : "level") << " engine";
+  }
+}
+
+// Schema v4 dropped the engine-specific state blob: a checkpoint is its step
+// count. Older streams — v2's accumulator blob, v3's cursor blob — must fail
+// with a typed error, never resume wrong.
 TEST(Checkpoint, RejectsSchemaV2LevelCheckpoint) {
   const metaop::OpGraph g = keyswitch_graph();
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
@@ -320,7 +335,6 @@ TEST(Checkpoint, RejectsSchemaV2LevelCheckpoint) {
   EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &ctl),
                sim::CancelledError);
   ASSERT_TRUE(cp.valid());
-  EXPECT_EQ(cp.state.size(), sizeof(std::uint64_t));  // the cursor alone
 
   // A v2 level state: cursor, cycle/transpose/busy totals, HBM bytes,
   // per-class arrays, fault totals, empty registry, no profiler frame.
@@ -334,27 +348,27 @@ TEST(Checkpoint, RejectsSchemaV2LevelCheckpoint) {
   v2.write_u64(0);  // counters
   v2.write_u64(0);  // gauges
   v2.write_u8(0);   // no MemProfiler frame
+  // A v3 level state: the level cursor alone.
+  BinaryWriter v3;
+  v3.write_u64(cp.step);
 
-  // Framed under the v2 header with a valid integrity footer.
-  BinaryWriter framed;
-  framed.write_u64(0x414c'4348'434b'5031ull);  // "ALCHCKP1"
-  framed.write_u64(2);
-  framed.write_tag(cp.engine);
-  framed.write_tag(cp.workload);
-  framed.write_u64(cp.op_count);
-  framed.write_u64(cp.fingerprint);
-  framed.write_u64(cp.step);
-  framed.write_bytes(v2.buffer());
-  framed.write_u64(framed.checksum_since(0));
-  EXPECT_THROW(sim::Checkpoint::deserialize(framed.buffer()), sim::CheckpointError);
-
-  // The same blob handed to the engine directly.
-  sim::Checkpoint stale = cp;
-  stale.state = v2.buffer();
-  sim::SimControl resume;
-  resume.checkpoint = &stale;
-  EXPECT_THROW(sim::simulate_alchemist(g, cfg, nullptr, nullptr, &resume),
-               sim::CheckpointError);
+  // Each framed under its own header with a valid integrity footer.
+  for (const auto& [version, state] :
+       {std::pair<std::uint64_t, std::vector<std::uint8_t>>{2, v2.buffer()},
+        {3, v3.buffer()}}) {
+    BinaryWriter framed;
+    framed.write_u64(0x414c'4348'434b'5031ull);  // "ALCHCKP1"
+    framed.write_u64(version);
+    framed.write_tag(cp.engine);
+    framed.write_tag(cp.workload);
+    framed.write_u64(cp.op_count);
+    framed.write_u64(cp.fingerprint);
+    framed.write_u64(cp.step);
+    framed.write_bytes(state);
+    framed.write_u64(framed.checksum_since(0));
+    EXPECT_THROW(sim::Checkpoint::deserialize(framed.buffer()), sim::CheckpointError)
+        << "v" << version;
+  }
 }
 
 }  // namespace
