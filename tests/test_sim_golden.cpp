@@ -8,6 +8,10 @@
 // to the accounting, the fault sampling order or either profiler shows up as
 // a digest mismatch here. A deliberate re-baseline updates the table and says
 // why in CHANGES.md.
+//
+// A second table pins the Timeline content the same way: every slice, counter
+// sample and track name of a traced, doubly-profiled run, for a fresh run and
+// for a run resumed from a checkpoint taken at half its steps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include "common/serdes.h"
 #include "fault/fault_model.h"
 #include "metaop/op_graph.h"
+#include "obs/timeline.h"
 #include "sim/alchemist_sim.h"
 #include "sim/event_sim.h"
 #include "workloads/ckks_workloads.h"
@@ -143,6 +148,43 @@ std::uint64_t digest(const sim::SimResult& r) {
   return fnv1a(w.buffer());
 }
 
+void write_timeline(BinaryWriter& w, const obs::Timeline& tl) {
+  for (const obs::TraceEvent& e : tl.events()) {
+    w.write_tag(e.name);
+    w.write_tag(e.cat);
+    w.write_u64(e.tid);
+    w.write_double(e.ts);
+    w.write_double(e.dur);
+    for (const auto& [key, value] : e.num_args) {
+      w.write_tag(key);
+      w.write_double(value);
+    }
+    for (const auto& [key, value] : e.str_args) {
+      w.write_tag(key);
+      w.write_tag(value);
+    }
+  }
+  for (const obs::CounterEvent& c : tl.counter_events()) {
+    w.write_tag(c.name);
+    w.write_u64(c.tid);
+    w.write_double(c.ts);
+    for (const auto& [series, value] : c.series) {
+      w.write_tag(series);
+      w.write_double(value);
+    }
+  }
+  for (const auto& [tid, name] : tl.track_names()) {
+    w.write_u64(tid);
+    w.write_tag(name);
+  }
+}
+
+std::string hex(std::uint64_t d) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016llxull", static_cast<unsigned long long>(d));
+  return buf;
+}
+
 sim::SimResult run(const Golden& g) {
   const metaop::OpGraph graph = build(g.graph);
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
@@ -168,12 +210,78 @@ TEST(SimGolden, DigestsMatchPinnedBaseline) {
       EXPECT_GT(r.registry.counter(fault::metrics::kRetries), 0u) << g.graph;
     }
     const std::uint64_t d = digest(r);
-    char actual[32];
-    std::snprintf(actual, sizeof(actual), "0x%016llxull",
-                  static_cast<unsigned long long>(d));
     EXPECT_EQ(d, g.digest) << g.graph << (g.event ? " event" : " level")
                            << (g.faulted ? " faulted" : " fault-free")
-                           << ": digest " << actual;
+                           << ": digest " << hex(d);
+  }
+}
+
+struct TimelineGolden {
+  const char* graph;
+  bool event;
+  bool resumed;
+  std::uint64_t digest;
+};
+
+// Captured at the parent of the Schedule change.
+constexpr TimelineGolden kTimelineGolden[] = {
+    {"keyswitch", false, false, 0x57408db0b1aa25b7ull},
+    {"keyswitch", false, true, 0x8780cba4bcdfd61bull},
+    {"keyswitch", true, false, 0x66735544f0c25d28ull},
+    {"keyswitch", true, true, 0x5b10e8f01941d6b7ull},
+    {"pbs_i", false, false, 0x3883998dfec375adull},
+    {"pbs_i", false, true, 0xb65599c805395250ull},
+    {"pbs_i", true, false, 0x0da1c86b0b6aac6aull},
+    {"pbs_i", true, true, 0x263f54d70888b59full},
+};
+
+sim::SimResult run_traced(const metaop::OpGraph& graph, bool event,
+                          obs::Timeline* tl, sim::SimControl* ctl) {
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  sim::UnitProfiler unit;
+  sim::MemProfiler mem;
+  return event ? sim::simulate_alchemist_events(graph, cfg, tl, nullptr, ctl,
+                                                &unit, &mem)
+               : sim::simulate_alchemist(graph, cfg, tl, nullptr, ctl, &unit,
+                                         &mem);
+}
+
+TEST(SimGolden, TimelineDigestsMatchPinnedBaseline) {
+  for (const TimelineGolden& g : kTimelineGolden) {
+    const metaop::OpGraph graph = build(g.graph);
+    obs::Timeline tl;
+    if (g.resumed) {
+      // Count the run's steps, stop a traced run at half of them, and digest
+      // only the trace of the leg that resumes from its checkpoint.
+      sim::Checkpoint cp;
+      sim::SimControl count;
+      count.checkpoint = &cp;
+      count.checkpoint_interval = 1;
+      run_traced(graph, g.event, nullptr, &count);
+      const std::uint64_t steps = cp.step;
+      ASSERT_GE(steps, 2u) << g.graph;
+      cp.clear();
+      sim::SimControl first;
+      first.checkpoint = &cp;
+      first.max_steps = steps / 2;
+      obs::Timeline first_tl;
+      EXPECT_THROW(run_traced(graph, g.event, &first_tl, &first),
+                   sim::CancelledError);
+      ASSERT_EQ(cp.step, steps / 2) << g.graph;
+      sim::SimControl resume;
+      resume.checkpoint = &cp;
+      run_traced(graph, g.event, &tl, &resume);
+    } else {
+      run_traced(graph, g.event, &tl, nullptr);
+    }
+    ASSERT_FALSE(tl.events().empty()) << g.graph;
+    ASSERT_FALSE(tl.counter_events().empty()) << g.graph;
+    BinaryWriter w;
+    write_timeline(w, tl);
+    const std::uint64_t d = fnv1a(w.buffer());
+    EXPECT_EQ(d, g.digest) << g.graph << (g.event ? " event" : " level")
+                           << (g.resumed ? " resumed" : " fresh")
+                           << ": timeline digest " << hex(d);
   }
 }
 
