@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "sim/cost_pass.h"
-#include "sim/telemetry.h"
+#include "sim/schedule.h"
 
 namespace alchemist::sim {
 
@@ -65,14 +65,20 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   // ASAP-level order.
   CostPass costs(graph, cfg, fault);
 
-  std::vector<ClassTrackRows> rows = begin_trace(timeline, "alchemist-sim(level)");
-  if (profiler) profiler->begin(cfg.num_units, cfg.cores_per_unit, timeline);
-  if (mem_profiler) mem_profiler->begin(cfg, timeline);
+  // Observers read the schedule after the run, and it is recorded only for
+  // them: op records for a Timeline or a MemProfiler, level frames for a
+  // Timeline or a UnitProfiler.
+  const bool record_ops = timeline || mem_profiler;
+  const bool record_levels = timeline || profiler;
+  Schedule sched{&graph, cfg, /*event=*/false, levels_done,
+                 /*with_costs=*/timeline != nullptr};
+  if (record_ops) sched.ops.reserve(graph.ops.size());
+  if (timeline) sched.costs.reserve(graph.ops.size());
+  if (record_levels) sched.levels.reserve(levels.size());
 
   const std::uint64_t cores = cfg.total_cores();
   const double hbm_bpc = cfg.hbm_bytes_per_cycle();
-  const double transpose_words_per_cycle =
-      static_cast<double>(cfg.num_units * cfg.lanes);
+  FetchStream fetches(hbm_bpc);
 
   std::uint64_t total_cycles = 0;
   std::uint64_t total_transpose = 0;
@@ -102,12 +108,11 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
 
   // One ASAP level. Cores are fungible across the ops of a level: Meta-OP
   // work pools and fills waves jointly; only the pooled tail is padded. A
-  // level before the resume cursor is `folded`: its arithmetic and both
-  // profilers run, but it emits no timeline events and no spans.
+  // level before the resume cursor is `folded`: it is scheduled and recorded,
+  // but it emits no spans.
   auto run_level = [&](std::size_t level_idx, bool folded) {
     const auto& level = levels[level_idx];
     if (level.empty()) return;
-    obs::Timeline* tl = folded ? nullptr : timeline;
     const bool level_spans = !folded && run.traces(obs::TraceDetail::Phases);
     const bool op_spans = !folded && run.traces(obs::TraceDetail::Ops);
     // Narrow levels at Phases detail fold into the running chain span, so
@@ -118,9 +123,8 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
       level_ctx = obs::child_context(run.context(), "level", level_idx);
     }
     std::uint64_t level_core_cycles = 0;  // exact core-cycles of work
+    std::uint64_t level_reduction = 0;    // its 2-cycle Meta-OP tails
     std::uint64_t level_transpose = 0;    // serialized transpose traffic
-    double level_hbm_bytes = 0;
-    UnitProfiler::Level level_profile;
     // The pooled model executes a level's work as if ops ran back to back at
     // full machine width, so op slices, spans and residency tile the level.
     double cursor = static_cast<double>(total_cycles);
@@ -134,49 +138,18 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
       // is covered by the per-lane operand fetch modeled inside the Meta-OP
       // window; only off-chip traffic is charged separately.
       level_core_cycles += c.work();
+      level_reduction += 2 * c.meta_ops;
       level_transpose += transpose;
-      level_hbm_bytes += static_cast<double>(op.hbm_bytes);
+      sched.class_core_cycles[cls] += c.work();
       total_transpose += transpose;
-      level_profile.reduction_core_cycles += 2 * c.meta_ops;
-      level_profile.class_core_cycles[cls] += c.work();
       class_wall[cls] += (c.work() + cores - 1) / cores + transpose;
       const double dur = static_cast<double>(c.work()) / static_cast<double>(cores) +
                          static_cast<double>(transpose);
-      if (mem_profiler) mem_profiler->record_op(op, cursor + dur);
-      if (tl) {
-        obs::TraceEvent ev;
-        ev.name = op_label(op, idx);
-        ev.cat = class_tag(c.cls);
-        ev.ts = cursor;
-        ev.dur = dur;
-        ev.tid = rows[cls].reserve(cursor, cursor + dur);
-        ev.num_args = {
-            {"level", static_cast<double>(level_idx)},
-            {"core_cycles", static_cast<double>(c.core_cycles)},
-            {"cores", static_cast<double>(cores)},
-            {"metaop_batches", static_cast<double>(c.batches)},
-            {"meta_ops", static_cast<double>(c.meta_ops)},
-            {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
-            {"transpose_cycles", static_cast<double>(transpose)},
-            {"mults", static_cast<double>(c.mults)},
-        };
-        tl->record(std::move(ev));
-        if (transpose > 0) {
-          obs::TraceEvent tr;
-          tr.name = "transpose#" + std::to_string(idx);
-          tr.cat = "transpose";
-          tr.tid = kTransposeTid;
-          tr.ts = cursor + static_cast<double>(c.core_cycles) /
-                               static_cast<double>(cores);
-          tr.dur = static_cast<double>(transpose);
-          tr.num_args = {{"words_per_cycle", transpose_words_per_cycle}};
-          tl->record(std::move(tr));
-        }
-        if (c.faults.total() > 0) {
-          record_fault(*tl, op, idx, c.faults, static_cast<double>(c.retry_cycles),
-                       cursor,
-                       static_cast<double>(c.retry_cycles) / static_cast<double>(cores));
-        }
+      if (record_ops) {
+        const auto [fetch_start, fetch_end] = fetches.next(op.hbm_bytes);
+        sched.add({static_cast<std::uint32_t>(idx), static_cast<std::uint32_t>(level_idx),
+                   cursor, cursor + dur, cursor + dur, fetch_start, fetch_end},
+                  c);
       }
       if (op_spans) {
         run.span(obs::child_context(level_ctx, to_string(op.kind), idx),
@@ -191,22 +164,9 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
     }
     const std::uint64_t level_wall =
         (level_core_cycles + cores - 1) / cores + level_transpose;
-    if (profiler) {
-      level_profile.core_cycles = level_core_cycles;
-      level_profile.transpose_cycles = level_transpose;
-      profiler->add_level(total_cycles, level_profile, /*sample=*/!folded);
-    }
-    if (tl) {
-      obs::TraceEvent lv;
-      lv.name = "level " + std::to_string(level_idx);
-      lv.cat = "scheduler";
-      lv.tid = kSchedulerTid;
-      lv.ts = static_cast<double>(total_cycles);
-      lv.dur = static_cast<double>(level_wall);
-      lv.num_args = {{"ops", static_cast<double>(level.size())},
-                     {"core_cycles", static_cast<double>(level_core_cycles)},
-                     {"hbm_bytes", level_hbm_bytes}};
-      tl->record(std::move(lv));
+    if (record_levels) {
+      sched.levels.push_back({total_cycles, level_wall, level_core_cycles, level_reduction,
+                              level_transpose, level.size()});
     }
     if (chained) {
       if (chain_len >= kChainMaxLevels) flush_chain();
@@ -231,6 +191,7 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   for (std::size_t l = levels_done; l < levels.size(); ++l) {
     if (const StopReason why = run.poll(); why != StopReason::None) {
       flush_chain();
+      if (timeline) emit_timeline(sched, *timeline);
       run.stop(why, static_cast<double>(total_cycles));
     }
     run_level(l, /*folded=*/false);
@@ -247,29 +208,6 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
   if (hbm_cycles > total_cycles) {
     stall_cycles = hbm_cycles - total_cycles;
     total_cycles = hbm_cycles;
-  }
-  if (timeline) {
-    if (total_hbm_bytes > 0) {
-      obs::TraceEvent hb;
-      hb.name = "evk stream";
-      hb.cat = "hbm";
-      hb.tid = kHbmTid;
-      hb.ts = 0;
-      hb.dur = static_cast<double>(hbm_cycles);
-      hb.num_args = {{"bytes", total_hbm_bytes},
-                     {"bytes_per_cycle", hbm_bpc}};
-      timeline->record(std::move(hb));
-    }
-    if (stall_cycles > 0) {
-      obs::TraceEvent st;
-      st.name = "hbm stall";
-      st.cat = "stall";
-      st.tid = kSchedulerTid;
-      st.ts = static_cast<double>(total_cycles - stall_cycles);
-      st.dur = static_cast<double>(stall_cycles);
-      st.num_args = {{"cycles", static_cast<double>(stall_cycles)}};
-      timeline->record(std::move(st));
-    }
   }
   if (run.traces(obs::TraceDetail::Phases) && stall_cycles > 0) {
     run.span(obs::child_context(run.context(), "hbm-stall", 0), "hbm-stall",
@@ -307,10 +245,15 @@ SimResult simulate_alchemist(const OpGraph& graph, const arch::ArchConfig& confi
                   {{"class", tag}});
   }
   result.finalize();
-  // After finalize: the profile is a side-channel view, never part of the
+  // After finalize: the profiles are side-channel views, never part of the
   // registry the bit-identity checks compare.
-  if (profiler) profiler->finish(total_cycles, result.profile);
-  if (mem_profiler) mem_profiler->finish(total_cycles, result.mem_profile);
+  if (record_ops || record_levels) {
+    sched.complete = true;
+    sched.end_cycles = total_cycles;
+    sched.hbm_cycles = hbm_cycles;
+    sched.stall_cycles = stall_cycles;
+    observe(sched, timeline, profiler, mem_profiler, result);
+  }
   return result;
 }
 

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "sim/cost_pass.h"
-#include "sim/telemetry.h"
+#include "sim/schedule.h"
 
 namespace alchemist::sim {
 
@@ -26,17 +26,13 @@ struct OpState {
   double work = 0;        // core-cycles of Meta-OP work left (incl. transpose)
   double hbm_ready = 0;   // earliest time this op's prefetched keys land
   double busy_lanes = 0;  // lane-cycles left for utilization accounting
-  double frac_scratch = 0;  // transpose share of `work` (profiler only)
-  // Static per-op costs the loop reads (see sim/cost_pass.h).
-  OpClass cls = OpClass::Elementwise;
+  // Static per-op costs: the transpose share of `work`, and the reduction
+  // share of the rest, split each interval's delivered work.
+  double scratch_share = 0;
   double reduction_share = 0;
-  fault::OpFaults faults;
-  std::uint64_t retry_cycles = 0;
+  OpClass cls = OpClass::Elementwise;
   std::size_t unmet_deps = 0;
   std::vector<std::size_t> dependents;
-  // Telemetry and memory-profiler timestamps (never read by the accounting).
-  double start_time = 0;
-  double compute_done_time = 0;
 };
 
 }  // namespace
@@ -52,13 +48,6 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   result.workload = graph.name;
   result.accelerator = "Alchemist(event)";
   obs::Registry& reg = result.registry;
-  if (graph.ops.empty()) {
-    if (mem_profiler) {
-      mem_profiler->begin(config);
-      mem_profiler->finish(0, result.mem_profile);
-    }
-    return result;
-  }
 
   // Inert fault models are dropped so the run stays bit-identical (see
   // simulate_alchemist).
@@ -68,13 +57,31 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   // A step is one completion interval. A resumed run re-runs the cost pass
   // from the fault seed and replays the completed intervals silently.
   RunControl run(control, kEventEngine, graph, config, fault);
-  std::vector<ClassTrackRows> rows = begin_trace(timeline, "alchemist-sim(event)");
 
   const double cores = static_cast<double>(cfg.total_cores());
   const double hbm_bpc = cfg.hbm_bytes_per_cycle();
 
-  // Costing in graph-index order samples faults in that order.
+  // Observers read the schedule after the run, and it is recorded only for
+  // them: op records for a Timeline, a MemProfiler or per-op spans (which
+  // need each op's ready time), completion intervals for a UnitProfiler.
+  const bool record_ops =
+      timeline || mem_profiler || run.traces(obs::TraceDetail::Ops);
+  const bool record_intervals = profiler != nullptr;
+  Schedule sched{&graph, cfg, /*event=*/true, run.resume_step(),
+                 /*with_costs=*/timeline != nullptr};
+  if (record_ops) {
+    sched.ops.reserve(graph.ops.size());
+    sched.retired.reserve(graph.ops.size());
+  }
+  if (timeline) sched.costs.reserve(graph.ops.size());
+  if (record_intervals) sched.intervals.reserve(graph.ops.size());
+
+  // Costing in graph-index order samples faults in that order. Key
+  // prefetching: the scheduler knows the op stream in advance, so HBM streams
+  // each op's keys in graph order starting at t=0; an op can only retire once
+  // its keys have landed.
   CostPass costs(graph, cfg, fault);
+  FetchStream fetches(hbm_bpc);
   std::uint64_t total_transpose = 0;
   std::vector<OpState> state(graph.ops.size());
   for (std::size_t i = 0; i < graph.ops.size(); ++i) {
@@ -82,16 +89,19 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
     OpState& s = state[i];
     s.cls = c.cls;
     s.reduction_share = c.reduction_share;
-    s.faults = c.faults;
-    s.retry_cycles = c.retry_cycles;
     s.busy_lanes = static_cast<double>(c.busy_lanes);
     s.work = static_cast<double>(c.core_cycles) + static_cast<double>(c.retry_cycles);
     if (c.transpose > 0) {
       // Serialized half of the transpose, expressed as extra machine work.
       const double transpose_work = c.transpose * cores;
       s.work += transpose_work;
-      s.frac_scratch = s.work > 0 ? transpose_work / s.work : 0.0;
+      s.scratch_share = s.work > 0 ? transpose_work / s.work : 0.0;
       total_transpose += static_cast<std::uint64_t>(c.transpose);
+    }
+    const auto [fetch_start, fetch_end] = fetches.next(graph.ops[i].hbm_bytes);
+    s.hbm_ready = fetch_end;
+    if (record_ops) {
+      sched.add({static_cast<std::uint32_t>(i), 0, 0, 0, 0, fetch_start, fetch_end}, c);
     }
     s.unmet_deps = graph.ops[i].deps.size();
     for (std::size_t dep : graph.ops[i].deps) {
@@ -100,46 +110,21 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
     }
   }
 
-  // Key prefetching: the scheduler knows the op stream in advance, so HBM
-  // streams each op's keys in order starting at t=0; an op can only retire
-  // once its cumulative key traffic has landed.
-  double bytes_prefix = 0;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    const double start_cycle = bytes_prefix / hbm_bpc;
-    bytes_prefix += static_cast<double>(graph.ops[i].hbm_bytes);
-    state[i].hbm_ready = bytes_prefix / hbm_bpc;
-    if (timeline && graph.ops[i].hbm_bytes > 0) {
-      obs::TraceEvent hb;
-      hb.name = "keys " + op_label(graph.ops[i], i);
-      hb.cat = "hbm";
-      hb.tid = kHbmTid;
-      hb.ts = start_cycle;
-      hb.dur = state[i].hbm_ready - start_cycle;
-      hb.num_args = {{"bytes", static_cast<double>(graph.ops[i].hbm_bytes)},
-                     {"bytes_per_cycle", hbm_bpc}};
-      timeline->record(std::move(hb));
-    }
-  }
-
   std::vector<std::size_t> running;
   for (std::size_t i = 0; i < state.size(); ++i) {
     if (state[i].unmet_deps == 0) running.push_back(i);
   }
-
-  if (profiler) profiler->begin(cfg.num_units, cfg.cores_per_unit, nullptr);
-  if (mem_profiler) mem_profiler->begin(cfg, timeline);
 
   double now = 0;
   double busy_integral = 0;  // lane-cycles actually delivered
   double stall_integral = 0; // time with live ops but zero runnable compute
   std::array<double, kNumOpClasses> class_active{};  // per-class busy wall
   std::size_t completed = 0;
+  std::uint32_t steps = 0;  // completion intervals run, replays included
 
   // One completion interval. A replayed interval (before the resume cursor)
-  // runs its arithmetic and the UnitProfiler but emits no timeline events and
-  // no spans.
+  // is scheduled and recorded but emits no spans.
   auto interval = [&](bool replay) {
-    obs::Timeline* tl = replay ? nullptr : timeline;
     const bool op_spans = !replay && run.traces(obs::TraceDetail::Ops);
     // Work-conserving equal share of the cores among live compute demands.
     std::size_t compute_live = 0;
@@ -170,62 +155,42 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
 
     // Advance time and drain work.
     now += dt;
-    double iv_delivered = 0, iv_reduction = 0, iv_scratch = 0;
-    std::array<double, kNumOpClasses> iv_class{};
+    const std::uint32_t step = steps++;
+    CompletionInterval iv;
+    iv.dt = dt;
+    iv.compute_live = compute_live > 0;
     std::vector<std::size_t> still_running;
     for (std::size_t idx : running) {
       OpState& s = state[idx];
       if (s.work > 0) {
         const double delivered = std::min(s.work, core_share * dt);
-        if (profiler) {
-          const double d_scratch = delivered * s.frac_scratch;
-          const double d_compute = delivered - d_scratch;
-          iv_delivered += delivered;
-          iv_scratch += d_scratch;
-          iv_reduction += d_compute * s.reduction_share;
-          iv_class[static_cast<std::size_t>(s.cls)] += d_compute;
-        }
+        if (record_intervals) iv.drain(s.cls, delivered, s.scratch_share, s.reduction_share);
         busy_integral += delivered / s.work * s.busy_lanes;  // proportional
         s.busy_lanes -= delivered / std::max(s.work, 1e-9) * s.busy_lanes;
         s.work -= delivered;
         if (s.work < 1e-9) s.work = 0;
-        if (s.work == 0) s.compute_done_time = now;
+        if (s.work == 0 && record_ops) sched.ops[idx].compute_end = now;
       }
       if (s.work == 0 && now + 1e-9 >= s.hbm_ready) {
         ++completed;
-        const HighOp& op = graph.ops[idx];
-        if (tl) {
-          obs::TraceEvent ev;
-          ev.name = op_label(op, idx);
-          ev.cat = class_tag(s.cls);
-          ev.ts = s.start_time;
-          ev.dur = now - s.start_time;
-          ev.tid = rows[static_cast<std::size_t>(s.cls)].reserve(s.start_time, now);
-          ev.num_args = {
-              {"ready_cycle", s.start_time},
-              {"end_cycle", now},
-              {"hbm_ready_cycle", s.hbm_ready},
-              {"hbm_wait_cycles",
-               std::max(0.0, now - std::max(s.compute_done_time, s.start_time))},
-              {"hbm_bytes", static_cast<double>(op.hbm_bytes)},
-          };
-          tl->record(std::move(ev));
-          if (s.faults.total() > 0) {
-            record_fault(*tl, op, idx, s.faults,
-                         static_cast<double>(s.retry_cycles), s.start_time,
-                         now - s.start_time);
-          }
+        if (record_ops) {
+          ScheduledOp& r = sched.ops[idx];
+          r.step = step;
+          r.retire = now;
+          sched.retired.push_back(static_cast<std::uint32_t>(idx));
         }
-        if (op_spans) {
+        if (op_spans) {  // implies `record_ops`
+          const HighOp& op = graph.ops[idx];
+          const double start = sched.ops[idx].start;
           run.span(obs::child_context(run.context(), to_string(op.kind), idx),
-                   to_string(op.kind), "sim/ops", s.start_time, now - s.start_time,
+                   to_string(op.kind), "sim/ops", start, now - start,
                    {{"op", static_cast<double>(idx)},
                     {"hbm_bytes", static_cast<double>(op.hbm_bytes)}},
                    {{"class", class_tag(s.cls)}});
         }
         for (std::size_t dep : s.dependents) {
           if (--state[dep].unmet_deps == 0) {
-            state[dep].start_time = now;
+            if (record_ops) sched.ops[dep].start = now;
             still_running.push_back(dep);
           }
         }
@@ -233,10 +198,7 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
         still_running.push_back(idx);
       }
     }
-    if (profiler) {
-      profiler->accrue(dt, iv_delivered, iv_reduction, iv_scratch, iv_class,
-                       compute_live > 0);
-    }
+    if (record_intervals) sched.intervals.push_back(iv);
     running = std::move(still_running);
   };
 
@@ -248,7 +210,10 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
   }
   run.start(now);
   while (!running.empty()) {
-    if (const StopReason why = run.poll(); why != StopReason::None) run.stop(why, now);
+    if (const StopReason why = run.poll(); why != StopReason::None) {
+      if (timeline) emit_timeline(sched, *timeline);
+      run.stop(why, now);
+    }
     interval(/*replay=*/false);
     if (run.step_done()) run.checkpoint(now);
   }
@@ -279,18 +244,10 @@ SimResult simulate_alchemist_events(const OpGraph& graph,
                   {{"class", tag}});
   }
   result.finalize();
-  if (profiler) profiler->finish(total_cycles, result.profile);
-  if (mem_profiler) {
-    // Feed in HBM prefetch order from per-op state the event loop left
-    // behind: an op's working set is released when
-    // both its compute and its key streaming are done, which is exactly its
-    // retirement condition above.
-    for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-      mem_profiler->record_op(
-          graph.ops[i],
-          std::max(state[i].compute_done_time, state[i].hbm_ready));
-    }
-    mem_profiler->finish(total_cycles, result.mem_profile);
+  if (record_ops || record_intervals) {
+    sched.complete = true;
+    sched.end_cycles = total_cycles;
+    observe(sched, timeline, profiler, mem_profiler, result);
   }
   return result;
 }

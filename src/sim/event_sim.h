@@ -14,19 +14,19 @@
 // This engine shares the simulator core with the level engine (see
 // sim/alchemist_sim.h): the per-op costs come from sim/cost_pass.h, costed in
 // graph-index order (its fault sampling order), and RunControl owns stops,
-// checkpoints and spans. A step here is one completion interval. Observers:
-// a Timeline gets each op with its actual ready/start/end times plus per-op
-// HBM key-streaming slices; the UnitProfiler accrues every interval's
-// delivered, reduction and scratchpad core-cycles (core sharing is uniform
-// across units, so one fractional profile covers the machine); the
-// MemProfiler is fed after the loop, in HBM prefetch order, with each op's
-// retirement time.
+// checkpoints and spans. A step here is one completion interval. Observers
+// read the run's sim::Schedule (sim/schedule.h): this engine records each
+// op's ready, compute-done and retirement times, its key-fetch window and
+// the order the ops retired in, plus every interval's delivered, reduction
+// and scratchpad core-cycles (core sharing is uniform across units, so one
+// fractional utilization profile covers the machine).
 //
 // Checkpoints resume exactly as the level engine's do: the cursor is the
 // number of completed intervals, and a resumed run re-runs the cost pass and
-// replays those intervals silently — their arithmetic and the UnitProfiler
-// run, but they emit no op slices, no spans and no steps. Its SimResult,
-// utilization.v1 and memory.v1 are bit-identical to an uninterrupted run's.
+// replays those intervals silently — they are scheduled and recorded, but
+// they emit no spans and count no steps, and the Timeline skips them. Its
+// SimResult, utilization.v1 and memory.v1 are bit-identical to an
+// uninterrupted run's.
 #pragma once
 
 #include "arch/config.h"

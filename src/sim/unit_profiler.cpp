@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "sim/telemetry.h"
-
 namespace alchemist::sim {
 
 namespace {
@@ -19,7 +17,7 @@ using metaop::OpClass;
 constexpr int kShapeBits = 10;
 
 std::string unit_track_name(std::size_t unit) {
-  char buf[24];
+  char buf[32];
   std::snprintf(buf, sizeof(buf), "util/unit%03zu", unit);
   return buf;
 }
@@ -54,181 +52,182 @@ std::array<std::uint64_t, N> apportion(const std::array<double, N>& weights,
   return out;
 }
 
-}  // namespace
-
-void UnitProfiler::begin(std::size_t num_units, std::size_t cores_per_unit,
-                         obs::Timeline* timeline) {
-  num_units_ = num_units;
-  cores_per_unit_ = std::max<std::size_t>(cores_per_unit, 1);
-  timeline_ = timeline;
-  diff_busy_.assign(num_units + 1, 0);
-  diff_reduction_.assign(num_units + 1, 0);
-  diff_dependency_.assign(num_units + 1, 0);
-  scratch_cycles_ = 0;
-  shapes_.assign(std::size_t{1} << kShapeBits, Shape{});
-  if (timeline_ != nullptr) {
-    for (std::size_t u = 0; u < num_units_; ++u) {
-      timeline_->set_track_name(kUtilTidBase + static_cast<std::uint32_t>(u),
-                                unit_track_name(u));
-    }
-  }
-}
-
-std::array<std::uint64_t, 3> UnitProfiler::unit_buckets(std::uint64_t w,
-                                                       std::uint64_t r,
-                                                       std::uint64_t unit) const {
-  const std::uint64_t U = num_units_;
-  const std::uint64_t C = cores_per_unit_;
-  const std::uint64_t compute_wall = (w + U * C - 1) / (U * C);
-  const std::uint64_t work_u = w / U + (unit < w % U ? 1 : 0);
-  const std::uint64_t occ_u = (work_u + C - 1) / C;
-  const std::uint64_t red_core_u = r / U + (unit < r % U ? 1 : 0);
-  const std::uint64_t red_u = std::min(occ_u, (red_core_u + C - 1) / C);
-  return {occ_u - red_u, red_u, compute_wall - occ_u};
-}
-
-void UnitProfiler::apply(const Shape& shape) {
-  const std::uint64_t U = num_units_;
-  const std::uint64_t rW = shape.core_cycles % U;
-  const std::uint64_t rR = shape.reduction_core_cycles % U;
-  const std::array<std::uint64_t, 4> cut = {0, std::min(rW, rR), std::max(rW, rR), U};
-  const auto n = static_cast<std::int64_t>(shape.count);
-  for (int s = 0; s < 3; ++s) {
-    const std::uint64_t a = cut[s], b = cut[s + 1];
-    if (a >= b) continue;
-    const auto [busy, red, dep] =
-        unit_buckets(shape.core_cycles, shape.reduction_core_cycles, a);
-    diff_busy_[a] += n * static_cast<std::int64_t>(busy);
-    diff_busy_[b] -= n * static_cast<std::int64_t>(busy);
-    diff_reduction_[a] += n * static_cast<std::int64_t>(red);
-    diff_reduction_[b] -= n * static_cast<std::int64_t>(red);
-    diff_dependency_[a] += n * static_cast<std::int64_t>(dep);
-    diff_dependency_[b] -= n * static_cast<std::int64_t>(dep);
-  }
-}
-
-void UnitProfiler::add_level(std::uint64_t start_cycle, const Level& level,
-                             bool sample) {
-  if (num_units_ == 0) return;
-  const std::uint64_t W = level.core_cycles;
-  const std::uint64_t R = level.reduction_core_cycles;
-
-  // Class attribution is deferred to finish(): accumulating the per-class
-  // core-cycle totals here and splitting each unit's occupied cycles once at
-  // the end keeps this per-level path free of string-keyed map updates.
+// Splits a unit's occupied cycles across op classes in proportion to the
+// run's per-class core-cycle totals.
+void split_classes(const std::array<double, kNumOpClasses>& class_cycles,
+                   obs::UnitCycles& unit) {
+  const auto split = apportion(class_cycles, unit.occupied());
   for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    acc_class_[c] += static_cast<double>(level.class_core_cycles[c]);
+    if (split[c] > 0)
+      unit.class_occupied[class_tag(static_cast<OpClass>(c))] += split[c];
   }
-  scratch_cycles_ += level.transpose_cycles;
+}
 
-  Shape& slot = shapes_[((W * 0x9e37'79b9'7f4a'7c15ull) ^
-                         (R * 0xc2b2'ae3d'27d4'eb4full)) >> (64 - kShapeBits)];
-  if (slot.count != 0 &&
-      (slot.core_cycles != W || slot.reduction_core_cycles != R)) {
-    apply(slot);
-    slot.count = 0;
+// Per-unit buckets of a level schedule. A level's per-unit share is piecewise
+// constant in the unit index (units below W%U / R%U carry one extra
+// core-cycle), so each level shape contributes three range-adds on
+// difference arrays instead of an O(units) loop. The buckets depend only on a
+// level's (W, R) shape, and a bootstrap's ~10^4 levels repeat a few hundred
+// shapes: add() only counts shapes in a direct-mapped table, and apply()
+// range-adds a shape times its count when its slot is reused and at the end.
+class LevelBuckets {
+ public:
+  LevelBuckets(std::uint64_t units, std::uint64_t cores_per_unit)
+      : U_(units),
+        C_(cores_per_unit),
+        busy_(units + 1, 0),
+        reduction_(units + 1, 0),
+        dependency_(units + 1, 0),
+        shapes_(std::size_t{1} << kShapeBits) {}
+
+  // {busy, reduction, dependency} cycles of `unit` in a level of shape (w, r).
+  std::array<std::uint64_t, 3> unit_buckets(std::uint64_t w, std::uint64_t r,
+                                            std::uint64_t unit) const {
+    const std::uint64_t compute_wall = (w + U_ * C_ - 1) / (U_ * C_);
+    const std::uint64_t work_u = w / U_ + (unit < w % U_ ? 1 : 0);
+    const std::uint64_t occ_u = (work_u + C_ - 1) / C_;
+    const std::uint64_t red_core_u = r / U_ + (unit < r % U_ ? 1 : 0);
+    const std::uint64_t red_u = std::min(occ_u, (red_core_u + C_ - 1) / C_);
+    return {occ_u - red_u, red_u, compute_wall - occ_u};
   }
-  slot.core_cycles = W;
-  slot.reduction_core_cycles = R;
-  ++slot.count;
 
-  // Trace mode pays the O(units) loop; profiling without a trace does not.
-  if (!sample || timeline_ == nullptr) return;
-  const std::uint64_t U = num_units_;
-  const std::uint64_t level_wall =
-      (W + U * cores_per_unit_ - 1) / (U * cores_per_unit_) + level.transpose_cycles;
-  if (level_wall > 0) {
-    const double wall = static_cast<double>(level_wall);
-    for (std::uint64_t u = 0; u < U; ++u) {
-      const auto [busy_u, red_u, dep_u] = unit_buckets(W, R, u);
-      obs::CounterEvent ev;
-      ev.name = unit_track_name(u);
-      ev.tid = kUtilTidBase + static_cast<std::uint32_t>(u);
-      ev.ts = static_cast<double>(start_cycle);
-      ev.series = {
-          {"busy", static_cast<double>(busy_u) / wall},
-          {"reduction", static_cast<double>(red_u) / wall},
-          {"stall",
-           static_cast<double>(dep_u + level.transpose_cycles) / wall},
-      };
-      timeline_->record_counter(std::move(ev));
+  void add(std::uint64_t w, std::uint64_t r) {
+    Shape& slot = shapes_[((w * 0x9e37'79b9'7f4a'7c15ull) ^
+                           (r * 0xc2b2'ae3d'27d4'eb4full)) >> (64 - kShapeBits)];
+    if (slot.count != 0 && (slot.core_cycles != w || slot.reduction_core_cycles != r)) {
+      apply(slot);
+      slot.count = 0;
     }
+    slot.core_cycles = w;
+    slot.reduction_core_cycles = r;
+    ++slot.count;
   }
-}
 
-void UnitProfiler::accrue(
-    double dt, double delivered, double reduction, double scratch,
-    const std::array<double, metaop::kNumOpClasses>& class_delivered,
-    bool compute_live) {
-  if (num_units_ == 0) return;
-  event_mode_ = true;
-  const double denom =
-      static_cast<double>(num_units_) * static_cast<double>(cores_per_unit_);
-  const double occ = std::max(delivered - scratch, 0.0) / denom;
-  acc_time_ += dt;
-  acc_occupied_ += occ;
-  acc_reduction_ += reduction / denom;
-  acc_scratch_ += scratch / denom;
-  if (!compute_live) acc_idle_ += dt;
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    acc_class_[c] += class_delivered[c] / denom;
-  }
-}
-
-void UnitProfiler::finish(std::uint64_t total_cycles,
-                          obs::UtilizationProfile& out) {
-  out.clear();
-  if (num_units_ == 0) return;
-  out.total_cycles = total_cycles;
-
-  if (!event_mode_) {
-    // Level mode is exact already; prefix-sum the per-level difference
-    // arrays into per-unit buckets. The only unaccounted cycles are the
-    // trailing HBM drain, identical for every unit — pad them into idle.
-    // Each unit's occupied cycles are split across op classes proportionally
-    // to the run's per-class core-cycle totals (largest-remainder, so the
-    // class cycles sum exactly to the unit's occupied cycles).
+  // Prefix-sums the difference arrays into per-unit buckets.
+  std::vector<obs::UnitCycles> units() {
     for (Shape& shape : shapes_) {
       if (shape.count != 0) apply(shape);
       shape.count = 0;
     }
-    out.units.assign(num_units_, obs::UnitCycles{});
+    std::vector<obs::UnitCycles> out(U_);
     std::int64_t busy = 0, red = 0, dep = 0;
-    for (std::size_t u = 0; u < num_units_; ++u) {
-      busy += diff_busy_[u];
-      red += diff_reduction_[u];
-      dep += diff_dependency_[u];
-      obs::UnitCycles& unit = out.units[u];
-      unit.busy = static_cast<std::uint64_t>(busy);
-      unit.reduction = static_cast<std::uint64_t>(red);
-      unit.stall_dependency = static_cast<std::uint64_t>(dep);
-      unit.stall_scratchpad = scratch_cycles_;
-      const std::uint64_t t = unit.total();
-      if (t < total_cycles) unit.idle += total_cycles - t;
-      const auto split = apportion(acc_class_, unit.occupied());
-      for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-        if (split[c] > 0)
-          unit.class_occupied[class_tag(static_cast<OpClass>(c))] += split[c];
-      }
-      if (timeline_ != nullptr) {
-        obs::CounterEvent ev;
-        ev.name = unit_track_name(u);
-        ev.tid = kUtilTidBase + static_cast<std::uint32_t>(u);
-        ev.ts = static_cast<double>(total_cycles);
-        ev.series = {{"busy", 0.0}, {"reduction", 0.0}, {"stall", 0.0}};
-        timeline_->record_counter(std::move(ev));
-      }
+    for (std::size_t u = 0; u < U_; ++u) {
+      busy += busy_[u];
+      red += reduction_[u];
+      dep += dependency_[u];
+      out[u].busy = static_cast<std::uint64_t>(busy);
+      out[u].reduction = static_cast<std::uint64_t>(red);
+      out[u].stall_dependency = static_cast<std::uint64_t>(dep);
     }
-    return;
+    return out;
   }
 
-  // Event mode: units share the cores uniformly, so one fractional profile
-  // integerizes into one per-unit record replicated across the machine.
-  const double total = static_cast<double>(total_cycles);
-  double busy_d = std::max(acc_occupied_ - acc_reduction_, 0.0);
-  double red_d = std::min(acc_reduction_, acc_occupied_);
-  double scr_d = acc_scratch_;
-  double idle_d = acc_idle_;
+ private:
+  struct Shape {
+    std::uint64_t core_cycles = 0;
+    std::uint64_t reduction_core_cycles = 0;
+    std::uint64_t count = 0;
+  };
+
+  void apply(const Shape& shape) {
+    const std::uint64_t rW = shape.core_cycles % U_;
+    const std::uint64_t rR = shape.reduction_core_cycles % U_;
+    const std::array<std::uint64_t, 4> cut = {0, std::min(rW, rR), std::max(rW, rR), U_};
+    const auto n = static_cast<std::int64_t>(shape.count);
+    for (int s = 0; s < 3; ++s) {
+      const std::uint64_t a = cut[s], b = cut[s + 1];
+      if (a >= b) continue;
+      const auto [busy, red, dep] =
+          unit_buckets(shape.core_cycles, shape.reduction_core_cycles, a);
+      busy_[a] += n * static_cast<std::int64_t>(busy);
+      busy_[b] -= n * static_cast<std::int64_t>(busy);
+      reduction_[a] += n * static_cast<std::int64_t>(red);
+      reduction_[b] -= n * static_cast<std::int64_t>(red);
+      dependency_[a] += n * static_cast<std::int64_t>(dep);
+      dependency_[b] -= n * static_cast<std::int64_t>(dep);
+    }
+  }
+
+  std::uint64_t U_, C_;
+  std::vector<std::int64_t> busy_, reduction_, dependency_;
+  std::vector<Shape> shapes_;
+};
+
+void sample(obs::Timeline& timeline, std::size_t unit, std::uint64_t ts,
+            double busy, double reduction, double stall) {
+  timeline.record_counter(
+      {.name = unit_track_name(unit), .tid = kUtilTidBase + static_cast<std::uint32_t>(unit),
+       .ts = static_cast<double>(ts),
+       .series = {{"busy", busy}, {"reduction", reduction}, {"stall", stall}}});
+}
+
+void profile_levels(const Schedule& s, obs::UtilizationProfile& out,
+                    obs::Timeline* timeline) {
+  const std::uint64_t U = s.cfg.num_units;
+  const std::uint64_t C = std::max<std::size_t>(s.cfg.cores_per_unit, 1);
+  if (timeline != nullptr) {
+    for (std::size_t u = 0; u < U; ++u) {
+      timeline->set_track_name(kUtilTidBase + static_cast<std::uint32_t>(u),
+                               unit_track_name(u));
+    }
+  }
+  LevelBuckets buckets(U, C);
+  std::uint64_t scratch_cycles = 0;
+  for (std::size_t level = 0; level < s.levels.size(); ++level) {
+    const LevelFrame& frame = s.levels[level];
+    const std::uint64_t W = frame.core_cycles;
+    const std::uint64_t R = frame.reduction_core_cycles;
+    scratch_cycles += frame.transpose_cycles;
+    buckets.add(W, R);
+
+    // Sampling pays the O(units) loop; profiling without a trace does not.
+    if (timeline == nullptr || level < s.first_step || frame.wall == 0) continue;
+    const double wall = static_cast<double>(frame.wall);
+    for (std::uint64_t u = 0; u < U; ++u) {
+      const auto [busy_u, red_u, dep_u] = buckets.unit_buckets(W, R, u);
+      sample(*timeline, u, frame.start, static_cast<double>(busy_u) / wall,
+             static_cast<double>(red_u) / wall,
+             static_cast<double>(dep_u + frame.transpose_cycles) / wall);
+    }
+  }
+
+  std::array<double, kNumOpClasses> class_cycles{};
+  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+    class_cycles[c] = static_cast<double>(s.class_core_cycles[c]);
+  }
+  out.units = buckets.units();
+  for (std::size_t u = 0; u < U; ++u) {
+    obs::UnitCycles& unit = out.units[u];
+    unit.stall_scratchpad = scratch_cycles;
+    const std::uint64_t t = unit.total();
+    if (t < s.end_cycles) unit.idle += s.end_cycles - t;
+    split_classes(class_cycles, unit);
+    if (timeline != nullptr) sample(*timeline, u, s.end_cycles, 0.0, 0.0, 0.0);
+  }
+}
+
+void profile_intervals(const Schedule& s, obs::UtilizationProfile& out) {
+  const double denom = static_cast<double>(s.cfg.num_units) *
+                       static_cast<double>(std::max<std::size_t>(s.cfg.cores_per_unit, 1));
+  double occupied = 0, reduction = 0, scratch = 0, idle = 0;
+  std::array<double, kNumOpClasses> class_cycles{};
+  for (const CompletionInterval& iv : s.intervals) {
+    occupied += std::max(iv.delivered - iv.scratch, 0.0) / denom;
+    reduction += iv.reduction / denom;
+    scratch += iv.scratch / denom;
+    if (!iv.compute_live) idle += iv.dt;
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+      class_cycles[c] += iv.class_delivered[c] / denom;
+    }
+  }
+
+  // Units share the cores uniformly, so one fractional profile integerizes
+  // into one per-unit record replicated across the machine.
+  const double total = static_cast<double>(s.end_cycles);
+  double busy_d = std::max(occupied - reduction, 0.0);
+  double red_d = std::min(reduction, occupied);
+  double scr_d = scratch;
+  double idle_d = idle;
   double sum = busy_d + red_d + scr_d + idle_d;
   if (sum > total && sum > 0) {
     const double scale = total / sum;
@@ -238,24 +237,31 @@ void UnitProfiler::finish(std::uint64_t total_cycles,
     idle_d *= scale;
     sum = total;
   }
-  // Whatever the interval accounting did not attribute — undersubscribed
-  // cores while compute was live, plus the final ceil() slack — is the
-  // dependency stall.
   const double dep_d = total - sum;
-  const auto buckets = apportion<5>({busy_d, red_d, scr_d, dep_d, idle_d},
-                                    total_cycles);
+  const auto buckets =
+      apportion<5>({busy_d, red_d, scr_d, dep_d, idle_d}, s.end_cycles);
   obs::UnitCycles unit;
   unit.busy = buckets[0];
   unit.reduction = buckets[1];
   unit.stall_scratchpad = buckets[2];
   unit.stall_dependency = buckets[3];
   unit.idle = buckets[4];
-  const auto split = apportion(acc_class_, unit.occupied());
-  for (std::size_t c = 0; c < kNumOpClasses; ++c) {
-    if (split[c] > 0)
-      unit.class_occupied[class_tag(static_cast<OpClass>(c))] += split[c];
+  split_classes(class_cycles, unit);
+  out.units.assign(s.cfg.num_units, unit);
+}
+
+}  // namespace
+
+void UnitProfiler::profile(const Schedule& s, obs::UtilizationProfile& out,
+                           obs::Timeline* timeline) {
+  out.clear();
+  if (s.cfg.num_units == 0) return;
+  out.total_cycles = s.end_cycles;
+  if (s.event) {
+    profile_intervals(s, out);
+  } else {
+    profile_levels(s, out, timeline);
   }
-  out.units.assign(num_units_, unit);
 }
 
 }  // namespace alchemist::sim

@@ -1,12 +1,13 @@
 // Memory-system observability (memory.v1): byte conservation against
 // sim.hbm.bytes, bit-identity of profiled runs, the keyswitch evk/ct-limb
 // split against the closed-form digit sizes, the key-reuse ledger, the
-// scratchpad residency model on synthetic graphs with analytic answers, and
+// scratchpad residency model on hand-built schedules with analytic answers, and
 // checkpoint/resume carrying the profile bit-identically on both engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "arch/config.h"
@@ -18,6 +19,7 @@
 #include "sim/checkpoint.h"
 #include "sim/event_sim.h"
 #include "sim/mem_profiler.h"
+#include "sim/schedule.h"
 #include "sim/sim_control.h"
 #include "workloads/ckks_subgraphs.h"
 #include "workloads/ckks_workloads.h"
@@ -180,7 +182,7 @@ TEST(MemProfiler, KeyReuseLedgerSeparatesRegimes) {
   }
 }
 
-// --- Synthetic scratchpad graphs with analytic answers -----------------------
+// --- Hand-built schedules with analytic answers -------------------------------
 
 metaop::HighOp synth_op(metaop::OpKind kind, std::uint64_t hbm_bytes,
                         std::vector<metaop::TransferDesc> transfers) {
@@ -193,23 +195,53 @@ metaop::HighOp synth_op(metaop::OpKind kind, std::uint64_t hbm_bytes,
   return op;
 }
 
+// A hand-built complete schedule: each (op, release cycle) in prefetch order,
+// its keys streamed back to back, its working set resident until the release.
+struct SynthRun {
+  metaop::OpGraph graph;
+  std::vector<double> release;
+
+  void add(metaop::HighOp op, double release_cycle) {
+    graph.add(std::move(op));
+    release.push_back(release_cycle);
+  }
+
+  obs::MemoryProfile profile(const arch::ArchConfig& cfg,
+                             std::uint64_t end_cycles) const {
+    sim::Schedule s;
+    s.graph = &graph;
+    s.cfg = cfg;
+    s.complete = true;
+    s.end_cycles = end_cycles;
+    sim::FetchStream fetches(cfg.hbm_bytes_per_cycle());
+    for (std::size_t i = 0; i < graph.ops.size(); ++i) {
+      sim::ScheduledOp r;
+      r.op = i;
+      r.compute_end = r.retire = release[i];
+      std::tie(r.fetch_start, r.fetch_end) = fetches.next(graph.ops[i].hbm_bytes);
+      s.ops.push_back(r);
+    }
+    obs::MemoryProfile out;
+    sim::MemProfiler::profile(s, out);
+    return out;
+  }
+};
+
 TEST(MemProfiler, SyntheticResidencyPeakAndEvictions) {
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   const double bpc = cfg.hbm_bytes_per_cycle();
   ASSERT_GT(bpc, 0.0);
 
-  sim::MemProfiler mem;
-  mem.begin(cfg);
+  SynthRun run;
   // Two working sets fetched back to back, both resident until cycle 10:
   // peak residency is their sum, and each is evicted exactly once.
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 1, 1000}}),
-                10.0);
-  mem.record_op(synth_op(metaop::OpKind::Automorphism, 2000,
-                         {{metaop::OperandClass::RotationKey, 2, 2000}}),
-                10.0);
-  obs::MemoryProfile out;
-  mem.finish(16, out);
+  run.add(synth_op(metaop::OpKind::DecompPolyMult, 1000,
+                   {{metaop::OperandClass::Evk, 1, 1000}}),
+          10.0);
+  run.add(synth_op(metaop::OpKind::Automorphism, 2000,
+                   {{metaop::OperandClass::RotationKey, 2, 2000}}),
+          10.0);
+  const obs::MemoryProfile out = run.profile(cfg, 16);
 
   EXPECT_EQ(out.scratch_peak_bytes, 3000u);  // analytic: both sets resident
   EXPECT_LE(out.scratch_peak_bytes, out.scratch_capacity_bytes);
@@ -234,26 +266,24 @@ TEST(MemProfiler, SyntheticResidencyPeakAndEvictions) {
 
 TEST(MemProfiler, SyntheticLedgerRefetchAndRemainder) {
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  sim::MemProfiler mem;
-  mem.begin(cfg);
+  SynthRun run;
   // Same key fetched twice: the second stream is pure re-fetch headroom.
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 7, 1000}}),
-                4.0);
-  mem.record_op(synth_op(metaop::OpKind::DecompPolyMult, 1000,
-                         {{metaop::OperandClass::Evk, 7, 1000}}),
-                8.0);
+  run.add(synth_op(metaop::OpKind::DecompPolyMult, 1000,
+                   {{metaop::OperandClass::Evk, 7, 1000}}),
+          4.0);
+  run.add(synth_op(metaop::OpKind::DecompPolyMult, 1000,
+                   {{metaop::OperandClass::Evk, 7, 1000}}),
+          8.0);
   // Descriptor covers only part of the stream: the remainder must land in
   // ct_limb so conservation still holds.
-  mem.record_op(synth_op(metaop::OpKind::Ntt, 1000,
-                         {{metaop::OperandClass::Twiddle, 0, 400}}),
-                10.0);
+  run.add(synth_op(metaop::OpKind::Ntt, 1000,
+                   {{metaop::OperandClass::Twiddle, 0, 400}}),
+          10.0);
   // Over-claiming descriptors are clamped to the op's hbm_bytes.
-  mem.record_op(synth_op(metaop::OpKind::PointwiseMult, 500,
-                         {{metaop::OperandClass::Plaintext, 0, 900}}),
-                12.0);
-  obs::MemoryProfile out;
-  mem.finish(16, out);
+  run.add(synth_op(metaop::OpKind::PointwiseMult, 500,
+                   {{metaop::OperandClass::Plaintext, 0, 900}}),
+          12.0);
+  const obs::MemoryProfile out = run.profile(cfg, 16);
 
   EXPECT_EQ(out.total_bytes, 3500u);
   EXPECT_EQ(out.attributed_total(), 3500u);  // conservation despite clamp
@@ -271,11 +301,9 @@ TEST(MemProfiler, SyntheticLedgerRefetchAndRemainder) {
 // rather than losing bytes.
 TEST(MemProfiler, DescriptorFreeGraphFallsBackToCtLimb) {
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
-  sim::MemProfiler mem;
-  mem.begin(cfg);
-  mem.record_op(synth_op(metaop::OpKind::Bconv, 1234, {}), 5.0);
-  obs::MemoryProfile out;
-  mem.finish(8, out);
+  SynthRun run;
+  run.add(synth_op(metaop::OpKind::Bconv, 1234, {}), 5.0);
+  const obs::MemoryProfile out = run.profile(cfg, 8);
   EXPECT_EQ(out.total_bytes, 1234u);
   EXPECT_EQ(out.attributed.at("ct_limb").at("bconv"), 1234u);
   EXPECT_TRUE(out.keys.empty());
@@ -285,8 +313,8 @@ TEST(MemProfiler, DescriptorFreeGraphFallsBackToCtLimb) {
 
 // A run interrupted at a step boundary and resumed with a fresh profiler must
 // produce a memory.v1 section bit-identical to the uninterrupted run, on both
-// engines (level: the resumed run re-feeds every level; event: deterministic
-// reconstruction from per-op state). Checkpoints carry no profiler bytes.
+// engines: a resumed run's schedule records the steps it replays too.
+// Checkpoints carry no profiler bytes.
 void check_resumed_profile_identical(bool event) {
   const metaop::OpGraph g =
       workloads::build_keyswitch(workloads::CkksWl::paper(16));

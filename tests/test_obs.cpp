@@ -24,6 +24,7 @@
 #include "obs/report.h"
 #include "obs/timeline.h"
 #include "sim/alchemist_sim.h"
+#include "sim/checkpoint.h"
 #include "sim/event_sim.h"
 #include "sim/sim_control.h"
 #include "sim/unit_profiler.h"
@@ -190,10 +191,53 @@ TEST(ObsTrace, EventSimEmitsPerOpSlices) {
   expect_balanced_json(timeline.chrome_trace_json());
 }
 
+// Op slices of a trace: the slices on an operator class's rows.
+std::size_t op_slices(const obs::Timeline& tl) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& e : tl.events()) {
+    for (std::size_t c = 0; c < metaop::kNumOpClasses; ++c) {
+      if (e.cat == metaop::class_tag(static_cast<metaop::OpClass>(c))) ++n;
+    }
+  }
+  return n;
+}
+
+// A stopped run emits the steps it executed before it throws, and the run
+// resumed from its checkpoint emits only the rest: the two traces together
+// hold every op slice exactly once.
+TEST(ObsTrace, StoppedRunTracesItsExecutedSteps) {
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  const OpGraph g = workloads::build_keyswitch(workloads::CkksWl::paper(16));
+  for (bool event : {false, true}) {
+    auto run = [&](obs::Timeline* tl, sim::SimControl* ctl) {
+      return event ? sim::simulate_alchemist_events(g, cfg, tl, nullptr, ctl)
+                   : sim::simulate_alchemist(g, cfg, tl, nullptr, ctl);
+    };
+    obs::Timeline full;
+    run(&full, nullptr);
+    ASSERT_EQ(op_slices(full), g.ops.size());
+
+    sim::Checkpoint cp;
+    sim::SimControl first;
+    first.max_steps = 2;
+    first.checkpoint = &cp;
+    obs::Timeline stopped;
+    EXPECT_THROW(run(&stopped, &first), sim::CancelledError);
+    sim::SimControl resume;
+    resume.checkpoint = &cp;
+    obs::Timeline resumed;
+    run(&resumed, &resume);
+    EXPECT_GT(op_slices(stopped), 0u) << (event ? "event" : "level");
+    EXPECT_GT(op_slices(resumed), 0u) << (event ? "event" : "level");
+    EXPECT_EQ(op_slices(stopped) + op_slices(resumed), g.ops.size())
+        << (event ? "event" : "level");
+  }
+}
+
 TEST(ObsTrace, DisabledTelemetryRecordsNothing) {
-  // Tracing is exactly "a Timeline was passed". Profilers reused from a
-  // traced run must not keep feeding that run's timeline once a later run is
-  // untraced.
+  // Tracing is exactly "a Timeline was passed". Profilers keep no Timeline
+  // between runs: reused after a traced run, they must not feed that run's
+  // timeline once a later run is untraced.
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   obs::Timeline timeline;
   sim::UnitProfiler unit;

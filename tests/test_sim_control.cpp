@@ -322,6 +322,39 @@ TEST(Checkpoint, RejectsStepPastEndOfSchedule) {
   }
 }
 
+// An empty graph takes each engine's normal path: its checkpoint is
+// validated, its registry is finalized and an attached profiler reports every
+// unit.
+TEST(Checkpoint, EmptyGraphRunsTheFullPathOnBothEngines) {
+  metaop::OpGraph g;
+  g.name = "empty";
+  const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
+  for (bool event : {false, true}) {
+    const char* engine = event ? "event" : "level";
+    sim::Checkpoint cp;
+    cp.engine = sim::kLevelEngine;
+    cp.workload = "other";
+    cp.step = 3;
+    sim::SimControl resume;
+    resume.checkpoint = &cp;
+    EXPECT_THROW(run_engine(event, g, cfg, nullptr, &resume), sim::CheckpointError)
+        << engine;
+
+    sim::UnitProfiler unit;
+    sim::MemProfiler mem;
+    const sim::SimResult r =
+        event ? sim::simulate_alchemist_events(g, cfg, nullptr, nullptr, nullptr,
+                                               &unit, &mem)
+              : sim::simulate_alchemist(g, cfg, nullptr, nullptr, nullptr, &unit,
+                                        &mem);
+    ASSERT_EQ(r.registry.counters().count(sim::metrics::kCycles), 1u) << engine;
+    EXPECT_EQ(r.registry.counter(sim::metrics::kCycles), 0u) << engine;
+    EXPECT_TRUE(r.profile.enabled()) << engine;
+    EXPECT_EQ(r.profile.units.size(), 128u) << engine;
+    EXPECT_TRUE(r.mem_profile.enabled()) << engine;
+  }
+}
+
 // Schema v4 dropped the engine-specific state blob: a checkpoint is its step
 // count. Older streams — v2's accumulator blob, v3's cursor blob — must fail
 // with a typed error, never resume wrong.
