@@ -10,26 +10,26 @@
 //  * 4-step NTTs pay one global transpose through the transpose register
 //    file, which moves num_units * lanes words per cycle and is serialized
 //    between the two NTT phases.
-//  * Off-chip traffic (evk streaming) is double-buffered against compute:
-//    a level's wall time is max(compute, HBM); the excess is a memory stall.
+//  * Off-chip traffic (evk streaming) is prefetched with double buffering
+//    across the whole graph: the run's wall time is max(compute, HBM), and
+//    the excess is a memory stall.
 //
-// One simulator core, two schedulers. This engine and the event engine
-// (sim/event_sim.h) share everything but the schedule:
-//  * sim/cost_pass.h prices every op once — lowering, fault-degraded stripe
-//    padding, transient-fault sampling and retry pricing, busy lanes,
-//    Meta-OP/mult counts, transpose — and adds the run's work counters to
-//    the registry. This engine costs ops in ASAP-level order, which is
-//    therefore its fault sampling order.
-//  * RunControl (sim/sim_control.h) owns stop polling, checkpoint validation
-//    and writing, and the distributed-tracing spans. A step here is one ASAP
-//    level.
-//  * Observers read the run's sim::Schedule (sim/schedule.h) once it is
-//    done: this engine records each op's slot in its level's tiling cursor
-//    and one frame per level, and a Timeline, a UnitProfiler
-//    (utilization.v1) and a MemProfiler (memory.v1) are each one function of
-//    that record. None of them changes the returned SimResult, and a run with
-//    no observer records no entries. A run traces if and only if a Timeline
-//    is passed.
+// One driver, two step policies. Both Alchemist engines are one driver
+// (sim/alchemist_sim.cpp) run with a different step policy:
+//  * LevelBarrier — this engine: a step is one ASAP level;
+//  * EqualShare — the event engine (sim/event_sim.h): a step is one
+//    completion interval.
+// A policy decides its engine and accelerator names, when it costs each op
+// (its fault sampling order: ASAP-level order here, graph order in the event
+// engine), which parts of the sim::Schedule it records for the attached
+// observers, and its end-of-run totals. The driver owns everything else,
+// once: the fault setup, RunControl (sim/sim_control.h) with the resume
+// replay, stop polling and checkpoints, the registry (sim/cost_pass.h's work
+// counters plus cycles, stall, transpose, time and utilization, overall and
+// per op class), and the observers. A Timeline, a UnitProfiler
+// (utilization.v1) and a MemProfiler (memory.v1) are each one function of
+// the run's Schedule (sim/schedule.h); none of them changes the returned
+// SimResult, and a run traces if and only if a Timeline is passed.
 //
 // Fault modeling: an optional fault::FaultModel degrades the machine
 // (permanent unit masks re-partition the slot stripe over the healthy units,
@@ -38,14 +38,13 @@
 // A model with zero rates, no mask and a non-DMR policy — or no model at all
 // — leaves the results bit-identical to the fault-free simulator.
 //
-// Checkpoints are a step count (sim/checkpoint.h): the number of completed
-// levels. A resumed run restarts the fault RNG at its seed, re-runs the cost
-// pass over every op, and folds the completed levels silently: they are
-// scheduled and recorded, but they emit no spans and count no steps, and the
-// Timeline skips them. Its SimResult, utilization.v1 and memory.v1 are
-// bit-identical to an uninterrupted run's. A stopped run writes the levels it
-// executed to its Timeline before it throws. The event engine resumes and
-// stops the same way.
+// Checkpoints are a step count (sim/checkpoint.h). A resumed run restarts
+// the fault RNG at its seed, re-runs the cost pass, and replays the completed
+// steps silently: they are scheduled and recorded, but they emit no spans
+// and count no steps, and the Timeline skips them. Its SimResult,
+// utilization.v1 and memory.v1 are bit-identical to an uninterrupted run's.
+// A stopped run writes the steps it executed to its Timeline before it
+// throws.
 #pragma once
 
 #include "arch/config.h"

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "metaop/metaop.h"
 #include "metaop/mult_count.h"
@@ -19,32 +18,10 @@ using metaop::HighOp;
 using metaop::kNumOpClasses;
 using metaop::OpClass;
 using metaop::OpGraph;
-using metaop::OpKind;
 
-// Engine index: 0 = NTTU, 1 = BconvU, 2 = element-wise/MAC engine.
-int engine_of(OpKind kind) {
-  switch (kind) {
-    case OpKind::Ntt:
-    case OpKind::Intt: return 0;
-    case OpKind::Bconv: return 1;
-    default: return 2;  // DecompPolyMult and elementwise run on the MAC engine
-  }
-}
-
-std::vector<std::vector<std::size_t>> asap_levels(const OpGraph& graph) {
-  std::vector<std::size_t> level(graph.ops.size(), 0);
-  std::size_t max_level = 0;
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) {
-    for (std::size_t dep : graph.ops[i].deps) {
-      if (dep >= i) throw std::invalid_argument("simulate: deps must point backwards");
-      level[i] = std::max(level[i], level[dep] + 1);
-    }
-    max_level = std::max(max_level, level[i]);
-  }
-  std::vector<std::vector<std::size_t>> levels(max_level + 1);
-  for (std::size_t i = 0; i < graph.ops.size(); ++i) levels[level[i]].push_back(i);
-  return levels;
-}
+// Engine of each op class: 0 = NTTU, 1 = BconvU, 2 = the element-wise/MAC
+// engine, which also runs DecompPolyMult.
+constexpr std::array<int, kNumOpClasses> kEngineOf = {0, 1, 2, 2};
 
 }  // namespace
 
@@ -69,26 +46,29 @@ SimResult simulate_modular(const OpGraph& graph, const arch::AcceleratorSpec& sp
   std::array<double, kNumOpClasses> class_mult_totals{};
   double total_mults = 0;
 
-  for (const auto& level : asap_levels(graph)) {
-    for (std::size_t idx : level) {
-      const HighOp& op = graph.ops[idx];
-      // Baselines run the eagerly-reduced (origin) multiplication counts.
-      const std::uint64_t mults = metaop::count(op).origin;
-      const int engine = engine_of(op.kind);
-      if (mults > 0 && engine_peaks[engine] <= 0) {
-        throw std::invalid_argument("simulate_modular: " + spec.name +
-                                    " has no engine for a required operator class");
-      }
-      engine_mults[engine] += static_cast<double>(mults);
-      class_mult_totals[static_cast<std::size_t>(class_of(op.kind))] +=
-          static_cast<double>(mults);
-      total_hbm_bytes += static_cast<double>(op.hbm_bytes);
-      reg.add(metrics::kMults, mults, {{"lazy", "false"}});
-      reg.add(metrics::kOps, 1);
-      reg.add(metrics::kOps, 1, {{"class", class_tag(class_of(op.kind))}});
-      reg.add(metrics::kHbmBytes, op.hbm_bytes);
-      total_mults += static_cast<double>(mults);
+  // The model only sums, so ops are walked in graph order: every sum is of
+  // integer-valued doubles far below 2^53, hence exact in any order.
+  for (std::size_t idx = 0; idx < graph.ops.size(); ++idx) {
+    const HighOp& op = graph.ops[idx];
+    for (std::size_t dep : op.deps) {
+      if (dep >= idx) throw std::invalid_argument("simulate: deps must point backwards");
     }
+    // Baselines run the eagerly-reduced (origin) multiplication counts.
+    const std::uint64_t mults = metaop::count(op).origin;
+    const auto cls = static_cast<std::size_t>(class_of(op.kind));
+    const int engine = kEngineOf[cls];
+    if (mults > 0 && engine_peaks[engine] <= 0) {
+      throw std::invalid_argument("simulate_modular: " + spec.name +
+                                  " has no engine for a required operator class");
+    }
+    engine_mults[engine] += static_cast<double>(mults);
+    class_mult_totals[cls] += static_cast<double>(mults);
+    total_hbm_bytes += static_cast<double>(op.hbm_bytes);
+    reg.add(metrics::kMults, mults, {{"lazy", "false"}});
+    reg.add(metrics::kOps, 1);
+    reg.add(metrics::kOps, 1, {{"class", class_tag(static_cast<OpClass>(cls))}});
+    reg.add(metrics::kHbmBytes, op.hbm_bytes);
+    total_mults += static_cast<double>(mults);
   }
 
   // Steady-state pipelined execution: each dedicated engine streams its own
@@ -117,16 +97,15 @@ SimResult simulate_modular(const OpGraph& graph, const arch::AcceleratorSpec& sp
                     : total_mults / (spec.peak_mults_per_cycle * total_cycles));
   // Per-class engine utilization over the whole run — the same quantity the
   // paper quotes for SHARP's NTTU / BconvU / element-wise engine.
-  const std::array<double, kNumOpClasses> class_engine_peak = {
-      engine_peaks[0], engine_peaks[1], engine_peaks[2], engine_peaks[2]};
   for (std::size_t c = 0; c < kNumOpClasses; ++c) {
     const char* tag = class_tag(static_cast<OpClass>(c));
+    const double engine_peak = engine_peaks[kEngineOf[c]];
     reg.add(metrics::kCycles, static_cast<std::uint64_t>(total_cycles),
             {{"class", tag}});
     reg.set_gauge(metrics::kUtilization,
-                  total_cycles == 0 || class_engine_peak[c] == 0
+                  total_cycles == 0 || engine_peak == 0
                       ? 0.0
-                      : class_mult_totals[c] / (class_engine_peak[c] * total_cycles),
+                      : class_mult_totals[c] / (engine_peak * total_cycles),
                   {{"class", tag}});
   }
   result.finalize();

@@ -11,22 +11,15 @@
 // lower bound on the analytical model's; tests pin the two within a small
 // factor and above the absolute lower bound (work/cores, bytes/bandwidth).
 //
-// This engine shares the simulator core with the level engine (see
-// sim/alchemist_sim.h): the per-op costs come from sim/cost_pass.h, costed in
-// graph-index order (its fault sampling order), and RunControl owns stops,
-// checkpoints and spans. A step here is one completion interval. Observers
-// read the run's sim::Schedule (sim/schedule.h): this engine records each
-// op's ready, compute-done and retirement times, its key-fetch window and
-// the order the ops retired in, plus every interval's delivered, reduction
-// and scratchpad core-cycles (core sharing is uniform across units, so one
-// fractional utilization profile covers the machine).
-//
-// Checkpoints resume exactly as the level engine's do: the cursor is the
-// number of completed intervals, and a resumed run re-runs the cost pass and
-// replays those intervals silently — they are scheduled and recorded, but
-// they emit no spans and count no steps, and the Timeline skips them. Its
-// SimResult, utilization.v1 and memory.v1 are bit-identical to an
-// uninterrupted run's.
+// This engine is the EqualShare step policy of the one Alchemist driver (see
+// sim/alchemist_sim.h, which also describes resume, stops, faults and
+// observers): a step is one completion interval, and the ops are costed in
+// graph index order, which is therefore its fault sampling order. For the
+// observers it records each op's ready, compute-done and retirement times,
+// its key-fetch window and the order the ops retired in, and every
+// interval's delivered, reduction and scratchpad core-cycles (core sharing
+// is uniform across units, so one fractional utilization profile covers the
+// machine).
 #pragma once
 
 #include "arch/config.h"

@@ -1,9 +1,9 @@
-// Cooperative execution control for the simulator engines.
+// Cooperative execution control for the Alchemist simulator.
 //
-// Both engines (sim/alchemist_sim.h level-by-level, sim/event_sim.h
-// event-driven) advance in *steps* — one scheduled level, one completion
-// interval. A caller-side SimControl gives the serving layer (src/svc) three
-// capabilities without preemption:
+// The one simulation driver (sim/alchemist_sim.h) advances its step policy in
+// *steps* — one ASAP level (LevelBarrier), one completion interval
+// (EqualShare). A caller-side SimControl gives the serving layer (src/svc)
+// three capabilities without preemption:
 //
 //   * cancellation:  a CancelToken flipped from any thread stops the run at
 //     the next step boundary;
@@ -14,12 +14,13 @@
 //     every checkpoint_interval steps and always at the stop point, so an
 //     interrupted job can later resume instead of restarting.
 //
-// Engine-side, one RunControl per run owns all of it: checkpoint validation
+// Driver-side, one RunControl per run owns all of it: checkpoint validation
 // and the fault-model reset on resume, stop and step-budget polling, the
-// step cursor and checkpoint writing, and the engine's distributed-tracing
-// spans (span buffer, checkpoint markers, the terminal "sim" span). An
-// engine asks it for resume_step(), replays that many steps silently, then
-// reports each executed step.
+// step cursor and checkpoint writing, and the run's distributed-tracing spans
+// (span buffer, checkpoint markers, the terminal "sim" span). The driver asks
+// it for resume_step(), replays that many steps silently, then reports each
+// executed step; the policies record their level, chain and op spans through
+// it.
 //
 // A stopped run throws CancelledError after publishing the final checkpoint;
 // the SimResult of a resumed run is bit-identical to an uninterrupted one
@@ -56,7 +57,15 @@ enum class StopReason : std::uint8_t {
   StepBudget,       // SimControl::max_steps exhausted (deterministic deadline)
 };
 
-const char* to_string(StopReason r);
+inline const char* to_string(StopReason r) {
+  switch (r) {
+    case StopReason::None: return "none";
+    case StopReason::Cancelled: return "cancelled";
+    case StopReason::DeadlineExpired: return "deadline-expired";
+    case StopReason::StepBudget: return "step-budget";
+  }
+  return "?";
+}
 
 // Thread-safe cancellation flag plus optional wall-clock deadline. The
 // producing side (JobRunner, a signal handler, a test) flips it; the engines
@@ -135,30 +144,20 @@ class CancelledError : public std::runtime_error {
   std::uint64_t step_;
 };
 
-inline const char* to_string(StopReason r) {
-  switch (r) {
-    case StopReason::None: return "none";
-    case StopReason::Cancelled: return "cancelled";
-    case StopReason::DeadlineExpired: return "deadline-expired";
-    case StopReason::StepBudget: return "step-budget";
-  }
-  return "?";
-}
-
-// Engine-side owner of one run's SimControl (null = uncontrolled, untraced).
+// Driver-side owner of one run's SimControl (null = uncontrolled, untraced).
 class RunControl {
  public:
   using NumAttrs = std::vector<std::pair<std::string, double>>;
 
   // Validates an incoming checkpoint against this run — engine, graph name
   // and op count, sim_fingerprint(config, fault) — and throws CheckpointError
-  // on mismatch. Resuming restarts `fault` at its seed: the engine re-runs
-  // its cost pass, which redraws the interrupted run's transients.
+  // on mismatch. Resuming restarts `fault` at its seed: the driver re-runs
+  // the cost pass, which redraws the interrupted run's transients.
   RunControl(SimControl* control, const char* engine, const metaop::OpGraph& graph,
              const arch::ArchConfig& config, fault::FaultModel* fault);
 
   // Steps the resumed checkpoint had completed (0 for a fresh run). The
-  // engine replays them silently before start(); they do not count against
+  // driver replays them silently before start(); they do not count against
   // max_steps.
   std::uint64_t resume_step() const { return resume_step_; }
 

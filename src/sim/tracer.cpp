@@ -2,11 +2,7 @@
 
 namespace alchemist::sim {
 
-namespace {
-
 using metaop::OpKind;
-
-}  // namespace
 
 TracedEvaluator::TracedEvaluator(ckks::ContextPtr ctx,
                                  const ckks::Evaluator& evaluator,

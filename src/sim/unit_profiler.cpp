@@ -222,24 +222,19 @@ void profile_intervals(const Schedule& s, obs::UtilizationProfile& out) {
   }
 
   // Units share the cores uniformly, so one fractional profile integerizes
-  // into one per-unit record replicated across the machine.
+  // into one per-unit record replicated across the machine. The buckets are
+  // {busy, reduction, scratchpad, dependency, idle}: an overfull sum scales
+  // down to the end cycle, and what the intervals leave unattributed is
+  // stall:dependency.
   const double total = static_cast<double>(s.end_cycles);
-  double busy_d = std::max(occupied - reduction, 0.0);
-  double red_d = std::min(reduction, occupied);
-  double scr_d = scratch;
-  double idle_d = idle;
-  double sum = busy_d + red_d + scr_d + idle_d;
+  std::array<double, 5> weights = {std::max(occupied - reduction, 0.0),
+                                   std::min(reduction, occupied), scratch, 0.0, idle};
+  const double sum = weights[0] + weights[1] + weights[2] + weights[4];
   if (sum > total && sum > 0) {
-    const double scale = total / sum;
-    busy_d *= scale;
-    red_d *= scale;
-    scr_d *= scale;
-    idle_d *= scale;
-    sum = total;
+    for (double& w : weights) w *= total / sum;
   }
-  const double dep_d = total - sum;
-  const auto buckets =
-      apportion<5>({busy_d, red_d, scr_d, dep_d, idle_d}, s.end_cycles);
+  weights[3] = std::max(total - sum, 0.0);
+  const auto buckets = apportion(weights, s.end_cycles);
   obs::UnitCycles unit;
   unit.busy = buckets[0];
   unit.reduction = buckets[1];
