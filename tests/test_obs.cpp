@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -202,9 +203,19 @@ std::size_t op_slices(const obs::Timeline& tl) {
   return n;
 }
 
+// Key slices ("keys OP#i") of a trace, by name.
+std::map<std::string, std::size_t> key_slices(const obs::Timeline& tl) {
+  std::map<std::string, std::size_t> n;
+  for (const obs::TraceEvent& e : tl.events()) {
+    if (e.name.rfind("keys ", 0) == 0) ++n[e.name];
+  }
+  return n;
+}
+
 // A stopped run emits the steps it executed before it throws, and the run
 // resumed from its checkpoint emits only the rest: the two traces together
-// hold every op slice exactly once.
+// hold every op slice exactly once, and in the event engine every keyed op's
+// key slice exactly once.
 TEST(ObsTrace, StoppedRunTracesItsExecutedSteps) {
   const arch::ArchConfig cfg = arch::ArchConfig::alchemist();
   const OpGraph g = workloads::build_keyswitch(workloads::CkksWl::paper(16));
@@ -231,6 +242,14 @@ TEST(ObsTrace, StoppedRunTracesItsExecutedSteps) {
     EXPECT_GT(op_slices(resumed), 0u) << (event ? "event" : "level");
     EXPECT_EQ(op_slices(stopped) + op_slices(resumed), g.ops.size())
         << (event ? "event" : "level");
+    if (!event) continue;  // the level engine streams keys as one whole-run slice
+    std::map<std::string, std::size_t> keys = key_slices(stopped);
+    for (const auto& [name, n] : key_slices(resumed)) keys[name] += n;
+    std::size_t keyed = 0;
+    for (const metaop::HighOp& op : g.ops) keyed += op.hbm_bytes > 0 ? 1 : 0;
+    ASSERT_GT(keyed, 0u);
+    EXPECT_EQ(keys.size(), keyed);
+    for (const auto& [name, n] : keys) EXPECT_EQ(n, 1u) << name;
   }
 }
 
