@@ -3,7 +3,6 @@
 namespace alchemist::sim {
 
 void SimResult::finalize() {
-  using metaop::OpClass;
   cycles = registry.counter(metrics::kCycles);
   time_us = registry.gauge(metrics::kTimeUs);
   utilization = registry.gauge(metrics::kUtilization);
@@ -12,7 +11,7 @@ void SimResult::finalize() {
   total_mults = registry.counter(metrics::kMults, {{"lazy", "true"}}) +
                 registry.counter(metrics::kMults, {{"lazy", "false"}});
   for (std::size_t c = 0; c < metaop::kNumOpClasses; ++c) {
-    const char* tag = metaop::class_tag(static_cast<OpClass>(c));
+    const char* tag = metaop::class_tag(static_cast<metaop::OpClass>(c));
     cycles_by_class[c] = registry.counter(metrics::kCycles, {{"class", tag}});
     util_by_class[c] = registry.gauge(metrics::kUtilization, {{"class", tag}});
   }
