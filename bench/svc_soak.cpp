@@ -27,8 +27,9 @@
 //                      sim.hbm.bytes) and (c) with and without distributed
 //                      tracing (TraceSink + EventLog at phase detail);
 //                      results must be bit-identical in every comparison and
-//                      each instrumented wall-clock (best of 3) within 10%
-//                      of the plain one
+//                      each instrumented job set's process CPU time within
+//                      10% of the plain one's (median of per-rep ratios; the
+//                      modes interleave within each rep)
 //   --metrics-out F    write the final run's svc.* registry (latency
 //                      histograms included) as a metrics.v1 JSON report;
 //                      traced runs graft their spans in as a spans.v1 section
@@ -44,6 +45,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -270,14 +272,33 @@ bool run_soak(std::size_t workers, const std::vector<GraphPtr>& graphs,
   return true;
 }
 
+// Process CPU time in ms, summed over every thread of the process.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 // Instrumentation-overhead gates: a deterministic fault-free job set through
-// a 4-worker runner, once plain, once with JobSpec::profile, and once under
-// distributed tracing (TraceSink + EventLog, phase detail). Each instrumented
-// configuration must reproduce the plain simulated outcome bit for bit and
-// land within kMaxOverhead of the plain wall-clock (best of kReps each).
+// a 4-worker runner, plain, with JobSpec::profile, with JobSpec::mem_profile
+// and under distributed tracing (TraceSink + EventLog, phase detail). Each
+// instrumented configuration must reproduce the plain simulated outcome bit
+// for bit and cost within kMaxOverhead of the plain job set.
+//
+// Each rep runs all four modes back to back, in an order that rotates from
+// rep to rep, and times each job set in process CPU time: the work the
+// workers did, which neither idle cores nor host drift between reps inflate
+// the way they inflate wall time. A mode's overhead is the median over reps
+// of its CPU time divided by the same rep's plain CPU time.
 bool run_smoke(const std::string& trace_out) {
   constexpr std::size_t kSmokeJobs = 16;
-  constexpr int kReps = 5;
+  constexpr int kReps = 9;
   constexpr double kMaxOverhead = 0.10;
 
   // Heavyweight jobs — the overhead gate is about instrumenting realistic
@@ -307,7 +328,7 @@ bool run_smoke(const std::string& trace_out) {
       opts.trace_detail = obs::TraceDetail::Phases;
     }
     svc::JobRunner runner(opts);
-    const auto t0 = std::chrono::steady_clock::now();
+    const double t0 = process_cpu_ms();
     std::vector<svc::JobPtr> handles;
     handles.reserve(kSmokeJobs);
     for (std::size_t i = 0; i < kSmokeJobs; ++i) {
@@ -320,9 +341,7 @@ bool run_smoke(const std::string& trace_out) {
       handles.push_back(runner.submit(std::move(spec)));
     }
     runner.drain();
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
+    const double cpu_ms = process_cpu_ms() - t0;
     results.clear();
     for (const svc::JobPtr& h : handles) {
       if (h->state() != svc::JobState::Completed) return -1.0;
@@ -333,37 +352,34 @@ bool run_smoke(const std::string& trace_out) {
       }
     }
     if (reg_out != nullptr) *reg_out = runner.snapshot();
-    return wall_ms;
+    return cpu_ms;
   };
 
-  double wall_off = 1e300, wall_profiled = 1e300, wall_mem = 1e300,
-         wall_traced = 1e300;
-  std::vector<sim::SimResult> base, profiled, memed, traced, scratch;
+  // Mode k of a rep: 0 plain, 1 profiled, 2 mem-profiled, 3 traced.
+  constexpr int kModes = 4;
+  constexpr const char* kModeNames[kModes] = {"plain", "profiled", "mem-profiled",
+                                              "traced"};
+  std::array<std::vector<double>, kModes> cpu;
+  std::array<std::vector<sim::SimResult>, kModes> first;
+  std::vector<sim::SimResult> scratch;
   obs::Registry last_reg, mem_reg;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, false, false, scratch, nullptr);
-    if (ms < 0) { std::fprintf(stderr, "smoke: plain job failed\n"); return false; }
-    wall_off = std::min(wall_off, ms);
-    if (rep == 0) base = scratch;
+    for (int k = 0; k < kModes; ++k) {
+      const int mode = (rep + k) % kModes;
+      obs::Registry* reg = mode == 1 ? &last_reg : mode == 2 ? &mem_reg : nullptr;
+      const double ms = run(mode == 1, mode == 2, mode == 3, scratch, reg);
+      if (ms < 0) {
+        std::fprintf(stderr, "smoke: %s job failed\n", kModeNames[mode]);
+        return false;
+      }
+      cpu[mode].push_back(ms);
+      if (rep == 0) first[mode] = scratch;
+    }
   }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(true, false, false, scratch, &last_reg);
-    if (ms < 0) { std::fprintf(stderr, "smoke: profiled job failed\n"); return false; }
-    wall_profiled = std::min(wall_profiled, ms);
-    if (rep == 0) profiled = scratch;
-  }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, true, false, scratch, &mem_reg);
-    if (ms < 0) { std::fprintf(stderr, "smoke: mem-profiled job failed\n"); return false; }
-    wall_mem = std::min(wall_mem, ms);
-    if (rep == 0) memed = scratch;
-  }
-  for (int rep = 0; rep < kReps; ++rep) {
-    const double ms = run(false, false, true, scratch, nullptr);
-    if (ms < 0) { std::fprintf(stderr, "smoke: traced job failed\n"); return false; }
-    wall_traced = std::min(wall_traced, ms);
-    if (rep == 0) traced = scratch;
-  }
+  const std::vector<sim::SimResult>& base = first[0];
+  const std::vector<sim::SimResult>& profiled = first[1];
+  const std::vector<sim::SimResult>& memed = first[2];
+  const std::vector<sim::SimResult>& traced = first[3];
   std::printf("svc_soak --smoke: per-class latency of the last profiled run:\n");
   print_class_latency(last_reg);
 
@@ -427,14 +443,17 @@ bool run_smoke(const std::string& trace_out) {
     }
   }
   bool ok = true;
-  for (const auto& [label, wall] :
-       {std::pair<const char*, double>{"profiler", wall_profiled},
-        {"mem-profiler", wall_mem},
-        {"tracing", wall_traced}}) {
-    const double overhead = (wall - wall_off) / wall_off;
-    std::printf("svc_soak --smoke: wall %0.2f ms off / %0.2f ms %s -> overhead "
-                "%+.1f%% (gate <%.0f%%), results bit-identical\n",
-                wall_off, wall, label, 100.0 * overhead, 100.0 * kMaxOverhead);
+  for (const auto& [label, mode] : {std::pair<const char*, int>{"profiler", 1},
+                                    {"mem-profiler", 2},
+                                    {"tracing", 3}}) {
+    std::vector<double> ratios;
+    for (int rep = 0; rep < kReps; ++rep) ratios.push_back(cpu[mode][rep] / cpu[0][rep]);
+    const double overhead = median(ratios) - 1.0;
+    std::printf("svc_soak --smoke: cpu %0.2f ms off / %0.2f ms %s (medians) -> "
+                "overhead %+.1f%% (median of %d paired reps, gate <%.0f%%), results "
+                "bit-identical\n",
+                median(cpu[0]), median(cpu[mode]), label, 100.0 * overhead, kReps,
+                100.0 * kMaxOverhead);
     if (overhead >= kMaxOverhead) {
       std::fprintf(stderr, "svc_soak FAILED: %s overhead %.1f%% exceeds gate\n",
                    label, 100.0 * overhead);
