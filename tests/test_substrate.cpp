@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <complex>
+#include <cstdio>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "common/modarith.h"
 #include "common/primes.h"
 #include "common/rng.h"
+#include "common/serdes.h"
 #include "common/thread_pool.h"
 #include "obs/substrate_metrics.h"
 #include "poly/lazy_kernels.h"
@@ -366,6 +369,110 @@ TEST(PooledKeyswitch, HoistedRotationsBitIdenticalAcrossThreadCounts) {
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_TRUE(seq[i].c0 == par[i].c0) << i;
     EXPECT_TRUE(seq[i].c1 == par[i].c1) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CKKS golden digests: every evaluator path built on the keyswitch stages
+// (ModUp, key-digit product, fold + ModDown) pinned by an FNV-1a digest of its
+// c0/c1 residues, at 1 and at 4 pool threads. Captured before those stages
+// were given one shared implementation each; a mismatch means a result bit
+// changed.
+
+struct CkksGolden {
+  const char* name;
+  std::uint64_t digest;
+};
+
+constexpr CkksGolden kCkksGolden[] = {
+    {"multiply", 0x21e34b11bc8c27ccull},
+    {"rescale", 0x5d335ff948b6d7bbull},
+    {"rotate+1", 0x484c72ee9f52ceb7ull},
+    {"rotate-2", 0xc7aed7b92a89fca6ull},
+    {"conjugate", 0x6807e0a750406641ull},
+    {"hoisted@4[+1]", 0xff6b5d323b948f00ull},
+    {"hoisted@4[+2]", 0xf3f54b64eb9f2e34ull},
+    {"hoisted@4[-1]", 0x6bff8a1ec4268ddaull},
+    {"hoisted@3[+1]", 0x614f81bdfa1f9fecull},
+    {"hoisted@3[+2]", 0x34faa780722282acull},
+    {"hoisted@3[-1]", 0x037d666ee1a89cb5ull},
+    {"keyswitch@4", 0xb6d02e18b46382f1ull},
+    {"keyswitch@3", 0xfa1fe3547c849aedull},
+};
+
+std::uint64_t residue_digest(const RnsPoly& a, const RnsPoly& b) {
+  BinaryWriter w;
+  for (const RnsPoly* p : {&a, &b}) {
+    for (std::size_t c = 0; c < p->num_channels(); ++c) w.write_u64_vector(p->channel(c));
+  }
+  return fnv1a(w.buffer());
+}
+
+// (name, digest) per evaluator path, in kCkksGolden order.
+std::vector<std::pair<std::string, std::uint64_t>> ckks_digests(std::size_t threads) {
+  ScopedThreads guard(threads);
+  // L = 4, dnum = 2: two digits of two primes at the top level, a truncated
+  // second digit (one prime) at level 3.
+  const ckks::CkksParams params = ckks::CkksParams::toy(512, 4, 2);
+  const auto ctx = std::make_shared<ckks::CkksContext>(params);
+  ckks::KeyGenerator keygen(ctx, 31);
+  ckks::CkksEncoder encoder(ctx);
+  ckks::Encryptor encryptor(ctx, keygen.make_public_key(), 37);
+  ckks::Evaluator ev(ctx);
+  const ckks::RelinKeys rk = keygen.make_relin_keys();
+  const ckks::GaloisKeys gk = keygen.make_galois_keys({1, 2, -1, -2}, true);
+
+  std::vector<double> x(params.slots()), y(params.slots());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.001 * static_cast<double>(i % 97) - 0.05;
+    y[i] = 0.5 - 0.002 * static_cast<double>(i % 61);
+  }
+  const std::size_t top = params.num_levels;
+  const ckks::Ciphertext a =
+      encryptor.encrypt(encoder.encode(std::span<const double>(x), top, params.scale()));
+  const ckks::Ciphertext b =
+      encryptor.encrypt(encoder.encode(std::span<const double>(y), top, params.scale()));
+
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  auto add = [&](std::string name, const ckks::Ciphertext& ct) {
+    out.emplace_back(std::move(name), residue_digest(ct.c0, ct.c1));
+  };
+  const ckks::Ciphertext prod = ev.multiply(a, b, rk);
+  add("multiply", prod);
+  add("rescale", ev.rescale(prod));
+  add("rotate+1", ev.rotate(a, 1, gk));
+  add("rotate-2", ev.rotate(a, -2, gk));
+  add("conjugate", ev.conjugate(a, gk));
+  const std::vector<int> steps = {1, 2, -1};
+  const char* step_names[] = {"[+1]", "[+2]", "[-1]"};
+  for (const std::size_t level : {top, top - 1}) {
+    const ckks::Ciphertext in = level == top ? a : ev.mod_drop(a, level);
+    const auto rotated = ev.rotate_hoisted(in, steps, gk);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      add("hoisted@" + std::to_string(level) + step_names[i], rotated[i]);
+    }
+  }
+  for (const std::size_t level : {top, top - 1}) {
+    RnsPoly d = random_poly(params.n, ctx->basis_at(level), 77 + level);
+    d.to_ntt();
+    const auto [ks0, ks1] = ev.keyswitch(d, level, rk.key);
+    out.emplace_back("keyswitch@" + std::to_string(level), residue_digest(ks0, ks1));
+  }
+  return out;
+}
+
+TEST(PooledCkksGolden, EvaluatorDigestsMatchPinnedBaseline) {
+  for (const std::size_t threads : {1u, 4u}) {
+    const auto got = ckks_digests(threads);
+    ASSERT_EQ(got.size(), std::size(kCkksGolden));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      char hex[32];
+      std::snprintf(hex, sizeof(hex), "0x%016llxull",
+                    static_cast<unsigned long long>(got[i].second));
+      EXPECT_EQ(got[i].first, kCkksGolden[i].name);
+      EXPECT_EQ(got[i].second, kCkksGolden[i].digest)
+          << got[i].first << " at " << threads << " threads: digest " << hex;
+    }
   }
 }
 
