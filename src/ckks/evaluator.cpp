@@ -13,6 +13,17 @@ bool scales_close(double a, double b) {
   return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
 }
 
+// ModDown (Eq. 3) of an NTT-form pair by its last k primes, back in NTT form.
+std::pair<RnsPoly, RnsPoly> moddown_pair(RnsPoly a, RnsPoly b, std::size_t k) {
+  a.to_coeff();
+  b.to_coeff();
+  RnsPoly down_a = moddown(a, k);
+  RnsPoly down_b = moddown(b, k);
+  down_a.to_ntt();
+  down_b.to_ntt();
+  return {std::move(down_a), std::move(down_b)};
+}
+
 }  // namespace
 
 Evaluator::Evaluator(ContextPtr ctx) : ctx_(std::move(ctx)) {}
@@ -70,80 +81,58 @@ Ciphertext Evaluator::mul_plain(const Ciphertext& a, const Plaintext& pt) const 
   return out;
 }
 
-std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
-                                                 const KSwitchKey& key) const {
+std::pair<RnsPoly, RnsPoly> Evaluator::switch_digits(
+    std::size_t level, const KSwitchKey& key,
+    const std::function<RnsPoly(std::size_t)>& ext_digit) const {
   const std::size_t num_special = ctx_->params().num_special();
   const std::size_t top = ctx_->params().num_levels;
-  const auto ext_basis = ctx_->extended_basis_at(level);
-
-  RnsPoly d_coeff = d;
-  d_coeff.to_coeff();
-
-  RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-  RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-
   const std::size_t digits = ctx_->num_digits_at(level);
   if (digits > key.digits.size()) {
-    throw std::invalid_argument("Evaluator::keyswitch: key has too few digits");
+    throw std::invalid_argument("Evaluator: keyswitch key has too few digits for the level");
   }
-  // dnum-group fan-out: every digit's Modup + DecompPolyMult is independent,
-  // so compute them into per-digit slots on the pool (nested kernels run
-  // inline on the worker) and fold sequentially below — the fixed fold order
-  // keeps the accumulation deterministic regardless of scheduling.
-  KernelTimer timer(Kernel::Keyswitch);
+  // dnum-group fan-out: every digit's extension + DecompPolyMult is
+  // independent, so compute them into per-digit slots on the pool (nested
+  // kernels run inline on the worker) and fold sequentially below — the fixed
+  // fold order keeps the accumulation deterministic regardless of scheduling.
   std::vector<std::pair<RnsPoly, RnsPoly>> parts(digits);
   parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
     for (std::size_t j = jb; j < je; ++j) {
-      const auto [first, count] = ctx_->digit_range(j, level);
-
-      // Digit j: residues on its own channels, fast base conversion (Modup)
-      // to every other channel of Q·P.
-      const RnsPoly raw = d_coeff.extract_channels(first, count);
-      std::vector<u64> group(ext_basis.begin() + first,
-                             ext_basis.begin() + first + count);
-      std::vector<u64> others;
-      others.reserve(ext_basis.size() - count);
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        if (c < first || c >= first + count) others.push_back(ext_basis[c]);
-      }
-      const BConv conv(group, others);
-      const RnsPoly converted = conv.apply(raw);
-
-      RnsPoly ext(ctx_->degree(), ext_basis, RnsPoly::Form::Coeff);
-      std::size_t other_idx = 0;
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        std::span<const u64> src = (c >= first && c < first + count)
-                                       ? raw.channel(c - first)
-                                       : converted.channel(other_idx++);
-        std::copy(src.begin(), src.end(), ext.channel(c).begin());
-      }
-      ext.to_ntt();
-
+      const RnsPoly ext = ext_digit(j);
       // DecompPolyMult: digit * evk_j over Q·P. The key lives on the full
       // basis [q_0..q_{L-1}, p...]; select the channels alive at `level`.
       RnsPoly evk_b = key.digits[j].first.extract_channels(0, level);
       evk_b.append_channels(key.digits[j].first.extract_channels(top, num_special));
       RnsPoly evk_a = key.digits[j].second.extract_channels(0, level);
       evk_a.append_channels(key.digits[j].second.extract_channels(top, num_special));
-
       evk_b *= ext;
       evk_a *= ext;
       parts[j] = {std::move(evk_b), std::move(evk_a)};
     }
   });
-  for (std::size_t j = 0; j < digits; ++j) {
-    acc0 += parts[j].first;
-    acc1 += parts[j].second;
+  const auto& ext_basis = parts.front().first.moduli();
+  RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
+  RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
+  for (const auto& [p0, p1] : parts) {
+    acc0 += p0;
+    acc1 += p1;
   }
-
   // Moddown: divide by P and return to the Q basis.
-  acc0.to_coeff();
-  acc1.to_coeff();
-  RnsPoly ks0 = moddown(acc0, num_special);
-  RnsPoly ks1 = moddown(acc1, num_special);
-  ks0.to_ntt();
-  ks1.to_ntt();
-  return {std::move(ks0), std::move(ks1)};
+  return moddown_pair(std::move(acc0), std::move(acc1), num_special);
+}
+
+std::pair<RnsPoly, RnsPoly> Evaluator::keyswitch(const RnsPoly& d, std::size_t level,
+                                                 const KSwitchKey& key) const {
+  const auto ext_basis = ctx_->extended_basis_at(level);
+  RnsPoly d_coeff = d;
+  d_coeff.to_coeff();
+  KernelTimer timer(Kernel::Keyswitch);
+  return switch_digits(level, key, [&](std::size_t j) {
+    // Digit j: residues on its own channels, Modup to every other channel.
+    const auto [first, count] = ctx_->digit_range(j, level);
+    RnsPoly ext = modup(d_coeff.extract_channels(first, count), ext_basis, first);
+    ext.to_ntt();
+    return ext;
+  });
 }
 
 Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b,
@@ -176,14 +165,7 @@ Ciphertext Evaluator::rescale(const Ciphertext& a) const {
 
   // Exact RNS rescale is a Moddown with the last ciphertext prime playing the
   // special modulus (Eq. 3 with P = q_{l-1}).
-  RnsPoly c0 = a.c0;
-  RnsPoly c1 = a.c1;
-  c0.to_coeff();
-  c1.to_coeff();
-  RnsPoly r0 = moddown(c0, 1);
-  RnsPoly r1 = moddown(c1, 1);
-  r0.to_ntt();
-  r1.to_ntt();
+  auto [r0, r1] = moddown_pair(a.c0, a.c1, 1);
   return Ciphertext{std::move(r0), std::move(r1), a.level - 1,
                     a.scale / static_cast<double>(dropped)};
 }
@@ -256,8 +238,6 @@ std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
                                                   std::span<const int> steps,
                                                   const GaloisKeys& gk) const {
   const std::size_t level = a.level;
-  const std::size_t num_special = ctx_->params().num_special();
-  const std::size_t top = ctx_->params().num_levels;
   const auto ext_basis = ctx_->extended_basis_at(level);
   const std::size_t digits = ctx_->num_digits_at(level);
 
@@ -271,25 +251,7 @@ std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
   parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
     for (std::size_t j = jb; j < je; ++j) {
       const auto [first, count] = ctx_->digit_range(j, level);
-      const RnsPoly raw = c1_coeff.extract_channels(first, count);
-      std::vector<u64> group(ext_basis.begin() + first,
-                             ext_basis.begin() + first + count);
-      std::vector<u64> others;
-      others.reserve(ext_basis.size() - count);
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        if (c < first || c >= first + count) others.push_back(ext_basis[c]);
-      }
-      const BConv conv(group, others);
-      const RnsPoly converted = conv.apply(raw);
-      RnsPoly ext(ctx_->degree(), ext_basis, RnsPoly::Form::Coeff);
-      std::size_t other_idx = 0;
-      for (std::size_t c = 0; c < ext_basis.size(); ++c) {
-        std::span<const u64> src = (c >= first && c < first + count)
-                                       ? raw.channel(c - first)
-                                       : converted.channel(other_idx++);
-        std::copy(src.begin(), src.end(), ext.channel(c).begin());
-      }
-      ext_digits[j] = std::move(ext);
+      ext_digits[j] = modup(c1_coeff.extract_channels(first, count), ext_basis, first);
     }
   });
 
@@ -306,34 +268,11 @@ std::vector<Ciphertext> Evaluator::rotate_hoisted(const Ciphertext& a,
     if (!gk.has(g)) {
       throw std::invalid_argument("rotate_hoisted: missing galois key for step");
     }
-    const KSwitchKey& key = gk.at(g);
-    RnsPoly acc0(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-    RnsPoly acc1(ctx_->degree(), ext_basis, RnsPoly::Form::Ntt);
-    // Same per-digit slot + sequential fold as keyswitch().
-    std::vector<std::pair<RnsPoly, RnsPoly>> parts(digits);
-    parallel_for(digits, 1, [&](std::size_t jb, std::size_t je) {
-      for (std::size_t j = jb; j < je; ++j) {
-        RnsPoly rotated = ext_digits[j].automorphism(g);
-        rotated.to_ntt();
-        RnsPoly evk_b = key.digits[j].first.extract_channels(0, level);
-        evk_b.append_channels(key.digits[j].first.extract_channels(top, num_special));
-        RnsPoly evk_a = key.digits[j].second.extract_channels(0, level);
-        evk_a.append_channels(key.digits[j].second.extract_channels(top, num_special));
-        evk_b *= rotated;
-        evk_a *= rotated;
-        parts[j] = {std::move(evk_b), std::move(evk_a)};
-      }
+    auto [ks0, ks1] = switch_digits(level, gk.at(g), [&](std::size_t j) {
+      RnsPoly rotated = ext_digits[j].automorphism(g);
+      rotated.to_ntt();
+      return rotated;
     });
-    for (std::size_t j = 0; j < digits; ++j) {
-      acc0 += parts[j].first;
-      acc1 += parts[j].second;
-    }
-    acc0.to_coeff();
-    acc1.to_coeff();
-    RnsPoly ks0 = moddown(acc0, num_special);
-    RnsPoly ks1 = moddown(acc1, num_special);
-    ks0.to_ntt();
-    ks1.to_ntt();
     ks0 += a.c0.automorphism(g);
     out.push_back(Ciphertext{std::move(ks0), std::move(ks1), level, a.scale});
   }

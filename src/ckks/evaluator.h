@@ -7,7 +7,17 @@
 //   Keyswitch -> the hybrid keyswitch core (decompose, Modup, DecompPolyMult,
 //                Moddown) — Eqs. (1)-(3) and the DecompPolyMult of §2.2
 //   Rotation  -> rotate (automorphism + keyswitch)
+//
+// Each keyswitch stage has one implementation, shared by keyswitch(),
+// rotate_hoisted() and rescale():
+//   ModUp (BConv of one digit to Q·P) -> poly/rns.h modup(digit, basis, first)
+//   DecompPolyMult (key digit j restricted to the level's Q·P channels),
+//   the digit-order fold and ModDown  -> the private switch_digits()
+//   ModDown of an NTT-form pair       -> moddown_pair() in evaluator.cpp;
+//                                        rescale() is its k = 1 case
 #pragma once
+
+#include <functional>
 
 #include "ckks/ciphertext.h"
 #include "ckks/encoder.h"
@@ -85,6 +95,15 @@ class Evaluator {
                         const char* op) const;
   Ciphertext apply_galois(const Ciphertext& a, u64 galois_elt,
                           const KSwitchKey& key) const;
+  // The keyswitch stages after ModUp, shared by keyswitch() and
+  // rotate_hoisted(). For every digit j of `level` it takes ext_digit(j), the
+  // NTT-form digit extended to the level's Q·P, and multiplies it by key
+  // digit j restricted to those channels (DecompPolyMult), in per-digit slots
+  // on the pool. It then folds the products in digit order and ModDowns the
+  // sum back to Q. Throws if the key has fewer digits than `level` needs.
+  std::pair<RnsPoly, RnsPoly> switch_digits(
+      std::size_t level, const KSwitchKey& key,
+      const std::function<RnsPoly(std::size_t)>& ext_digit) const;
 
   ContextPtr ctx_;
 };

@@ -1,5 +1,6 @@
 #include "poly/rns.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/biguint.h"
@@ -294,11 +295,30 @@ RnsPoly BConv::apply(const RnsPoly& x) const {
   return out;
 }
 
-RnsPoly modup(const RnsPoly& x, const std::vector<u64>& special_moduli) {
-  const BConv conv(x.moduli(), special_moduli);
-  RnsPoly out = x;
-  out.append_channels(conv.apply(x));
+RnsPoly modup(const RnsPoly& digit, const std::vector<u64>& basis, std::size_t first) {
+  const std::size_t count = digit.num_channels();
+  if (first + count > basis.size() ||
+      !std::equal(digit.moduli().begin(), digit.moduli().end(), basis.begin() + first)) {
+    throw std::invalid_argument("modup: digit is not basis[first, first + count)");
+  }
+  std::vector<u64> others(basis.begin(), basis.begin() + first);
+  others.insert(others.end(), basis.begin() + first + count, basis.end());
+  const RnsPoly converted = BConv(digit.moduli(), std::move(others)).apply(digit);
+
+  RnsPoly out(digit.degree(), basis, RnsPoly::Form::Coeff);
+  for (std::size_t c = 0, other = 0; c < basis.size(); ++c) {
+    const std::span<const u64> src = c >= first && c < first + count
+                                         ? digit.channel(c - first)
+                                         : converted.channel(other++);
+    std::copy(src.begin(), src.end(), out.channel(c).begin());
+  }
   return out;
+}
+
+RnsPoly modup(const RnsPoly& x, const std::vector<u64>& special_moduli) {
+  std::vector<u64> basis = x.moduli();
+  basis.insert(basis.end(), special_moduli.begin(), special_moduli.end());
+  return modup(x, basis, 0);
 }
 
 RnsPoly moddown(const RnsPoly& x, std::size_t num_special) {

@@ -6,7 +6,7 @@
 //   * RnsPoly      — a polynomial held as per-channel residue vectors, with a
 //                    coefficient/NTT form flag;
 //   * BConv        — fast RNS basis conversion (Eq. 1 of the paper);
-//   * modup        — extend [x]_Q to [x]_{Q·P} (Eq. 2);
+//   * modup        — extend [x]_Q, or one digit of it, to [x]_{Q·P} (Eq. 2);
 //   * moddown      — divide-and-round back from Q·P to Q (Eq. 3).
 //
 // The Bconv here is the standard fast (HPS-style) conversion without the
@@ -102,8 +102,15 @@ class BConv {
   std::vector<std::vector<u64>> qhat_mod_pj_;  // [K][L]
 };
 
+// Eq. 2, digit form: `digit` (coeff form) holds the channels
+// [first, first + count) of `basis`. Returns it over the whole basis: its own
+// residues copied, every other channel filled by one BConv from the digit's
+// primes. The hybrid keyswitch extends each dnum digit of [x]_Q to Q·P this
+// way.
+RnsPoly modup(const RnsPoly& digit, const std::vector<u64>& basis, std::size_t first);
+
 // Eq. 2: extend [x]_Q (coeff form) with the channels [x]_{p_j}, j in [0, K).
-// Returns a poly over basis Q ∪ P.
+// Returns a poly over basis Q ∪ P (the digit form with first = 0).
 RnsPoly modup(const RnsPoly& x, const std::vector<u64>& special_moduli);
 
 // Eq. 3: given [x]_{Q·P} (coeff form, with the K special channels last),

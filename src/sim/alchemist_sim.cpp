@@ -37,7 +37,6 @@ struct Run {
 struct RunTotals {
   double end = 0;    // cycle the executed steps reach (HBM stall included)
   double stall = 0;  // sim.stall{cause=hbm}
-  std::uint64_t transpose = 0;  // sim.transpose.cycles
   double busy = 0;   // lane-cycles delivered: the utilization numerator
   std::array<double, kNumOpClasses> class_wall{};  // per-class busy wall
 };
@@ -108,7 +107,6 @@ struct LevelBarrier {
       frame.reduction_core_cycles += 2 * c.meta_ops;
       frame.transpose_cycles += transpose;
       r.sched.class_core_cycles[cls] += c.work();
-      totals.transpose += transpose;
       totals.class_wall[cls] +=
           static_cast<double>((c.work() + cores - 1) / cores + transpose);
       const double dur = static_cast<double>(c.work()) / static_cast<double>(cores) +
@@ -255,7 +253,6 @@ struct EqualShare {
         const double transpose_work = c.transpose * cores;
         s.work += transpose_work;
         s.scratch_share = s.work > 0 ? transpose_work / s.work : 0.0;
-        totals.transpose += static_cast<std::uint64_t>(c.transpose);
       }
       const auto [fetch_start, fetch_end] = fetches.next(r.graph.ops[i].hbm_bytes);
       s.hbm_ready = fetch_end;
@@ -412,7 +409,6 @@ SimResult drive(const OpGraph& graph, const arch::ArchConfig& config,
     costs.add_counters(reg);
     reg.add(metrics::kCycles, end_cycles);
     reg.add(metrics::kStall, static_cast<std::uint64_t>(t.stall), {{"cause", "hbm"}});
-    reg.add(metrics::kTransposeCycles, t.transpose);
     reg.set_gauge(metrics::kTimeUs, t.end / (cfg.freq_ghz * 1e3));
     const double peak = static_cast<double>(cfg.peak_lanes());
     reg.set_gauge(metrics::kUtilization, t.end > 0 ? t.busy / (peak * t.end) : 0.0);

@@ -25,8 +25,8 @@
 // observers, and its end-of-run totals. The driver owns everything else,
 // once: the fault setup, RunControl (sim/sim_control.h) with the resume
 // replay, stop polling and checkpoints, the registry (sim/cost_pass.h's work
-// counters plus cycles, stall, transpose, time and utilization, overall and
-// per op class), and the observers. A Timeline, a UnitProfiler
+// and transpose counters plus cycles, stall, time and utilization, overall
+// and per op class), and the observers. A Timeline, a UnitProfiler
 // (utilization.v1) and a MemProfiler (memory.v1) are each one function of
 // the run's Schedule (sim/schedule.h); none of them changes the returned
 // SimResult, and a run traces if and only if a Timeline is passed.

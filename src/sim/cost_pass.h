@@ -9,8 +9,10 @@
 // work-conserving completion intervals.
 //
 // The run's work counters (sim.ops, sim.metaops, sim.mults, sim.hbm.bytes,
-// sim.busy_lane_cycles and, with a fault model, the fault.* family) are summed
-// over the ops and added to the registry once per run.
+// sim.busy_lane_cycles, sim.transpose.cycles and, with a fault model, the
+// fault.* family) are summed over the ops and added to the registry once per
+// run. The transpose total rounds each op's charge up to whole cycles, as the
+// level engine's walls do.
 //
 // Faults are sampled in the order the engine costs its ops: the level engine
 // walks its ASAP levels, the event engine the graph index. A seed therefore
@@ -90,7 +92,7 @@ class CostPass {
   fault::FaultModel* fault_;
   double transpose_words_per_cycle_;
   std::uint64_t ops_ = 0, mults_ = 0, meta_ops_ = 0, hbm_bytes_ = 0,
-                busy_lanes_ = 0;
+                busy_lanes_ = 0, transpose_cycles_ = 0;
   std::array<std::uint64_t, metaop::kNumOpClasses> class_ops_{};
   std::array<std::uint64_t, metaop::kNumOpClasses> class_busy_lanes_{};
   FaultTotals faults_;

@@ -310,6 +310,20 @@ TEST(HoistedRotations, WorksAtLowerLevelsAndChecksKeys) {
   EXPECT_THROW(f.evaluator->rotate_hoisted(ct, bad, gk), std::invalid_argument);
 }
 
+TEST(HoistedRotations, RejectsKeyWithTooFewDigits) {
+  Fixture f(CkksParams::toy(1024, 4, 2));
+  GaloisKeys gk = f.keygen->make_galois_keys({1});
+  ASSERT_EQ(gk.keys.size(), 1u);
+  KSwitchKey& key = gk.keys.begin()->second;
+  ASSERT_EQ(key.digits.size(), 2u);
+  key.digits.pop_back();
+  const Ciphertext ct = f.encrypt({1.0, 2.0}, 4);
+  const std::vector<int> steps = {1};
+  EXPECT_THROW(f.evaluator->rotate_hoisted(ct, steps, gk), std::invalid_argument);
+  // The plain rotation makes the same check.
+  EXPECT_THROW(f.evaluator->rotate(ct, 1, gk), std::invalid_argument);
+}
+
 TEST(LinearTransformTest, RejectsBadMatrix) {
   Fixture f(CkksParams::toy(128, 2, 1));
   LinearTransform::Matrix wrong(3, std::vector<Complex>(3));

@@ -231,6 +231,28 @@ TEST(ModUpDown, ModupPreservesOriginalChannels) {
   }
 }
 
+TEST(ModUpDown, DigitModupCopiesOwnChannelsAndConvertsTheRest) {
+  // A middle digit [first, first + count) of a Q·P basis: its own channels
+  // come back verbatim, every other channel is one BConv from its primes.
+  const std::size_t n = 16;
+  const auto basis = generate_ntt_primes(30, n, 5);
+  const std::size_t first = 1, count = 2;
+  const std::vector<u64> group(basis.begin() + first, basis.begin() + first + count);
+  const std::vector<u64> others = {basis[0], basis[3], basis[4]};
+  const RnsPoly digit = random_rns(n, group, 20);
+  const RnsPoly up = modup(digit, basis, first);
+  const RnsPoly converted = BConv(group, others).apply(digit);
+  ASSERT_EQ(up.moduli(), basis);
+  for (std::size_t c = 0, other = 0; c < basis.size(); ++c) {
+    const auto want = c >= first && c < first + count ? digit.channel(c - first)
+                                                      : converted.channel(other++);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), up.channel(c).begin())) << c;
+  }
+  // The digit's primes must be basis[first, first + count).
+  EXPECT_THROW(modup(digit, basis, 0), std::invalid_argument);
+  EXPECT_THROW(modup(digit, basis, 4), std::invalid_argument);
+}
+
 TEST(ModUpDown, ModdownExactWhenDivisible) {
   // y = P * z with z < Q: moddown must return exactly z (Bconv of 0 is 0).
   const std::size_t n = 8;

@@ -45,28 +45,31 @@ struct Golden {
   std::uint64_t digest;
 };
 
-// Captured at the parent of the unified-core change.
+// Captured at the parent of the unified-core change. The five {event,
+// faulted} digests were re-baselined when the event engine's
+// sim.transpose.cycles started rounding each op's fractional charge (one
+// masked unit) up, as the level engine does, instead of truncating it.
 constexpr Golden kGolden[] = {
     {"bootstrap", false, false, 0x344580cd4acb6c01ull},
     {"bootstrap", false, true, 0x87ecbd52c4ee58bcull},
     {"bootstrap", true, false, 0x9b2a303880339a3cull},
-    {"bootstrap", true, true, 0x8862cb4151d13039ull},
+    {"bootstrap", true, true, 0xb3e8bbb05c2e8891ull},
     {"helr", false, false, 0xfcdfebf3fe4fa3d2ull},
     {"helr", false, true, 0xab09c19d9dfbd394ull},
     {"helr", true, false, 0x6db3361f81527be9ull},
-    {"helr", true, true, 0x907c5fae2b652295ull},
+    {"helr", true, true, 0x48ae023ef9e82122ull},
     {"lola_mnist", false, false, 0xbad1c322c6fb7d04ull},
     {"lola_mnist", false, true, 0xe16aef4c37ea5f47ull},
     {"lola_mnist", true, false, 0xfef3c0483ad88415ull},
-    {"lola_mnist", true, true, 0x07c1aee819917405ull},
+    {"lola_mnist", true, true, 0x5bde597f99401191ull},
     {"pbs_i", false, false, 0xf788d65bae906bf0ull},
     {"pbs_i", false, true, 0x9b5ea3bd2dd1ee70ull},
     {"pbs_i", true, false, 0xc0fb2ca4db47302eull},
-    {"pbs_i", true, true, 0x19269d5d50e8c1f7ull},
+    {"pbs_i", true, true, 0x2a4768ef1163389cull},
     {"keyswitch", false, false, 0x730ffd1304028245ull},
     {"keyswitch", false, true, 0x37b14f6fa28f069dull},
     {"keyswitch", true, false, 0x68416f8be86a1dd8ull},
-    {"keyswitch", true, true, 0xf08e76c7c275de8eull},
+    {"keyswitch", true, true, 0x50c131693b4348c7ull},
 };
 
 metaop::OpGraph build(const std::string& name) {
